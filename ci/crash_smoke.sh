@@ -2,8 +2,8 @@
 # Crash-recovery smoke for cmd/dsed: start the daemon, submit a paced sweep,
 # kill -9 it mid-run, restart over the same spool, and assert that
 #   1. the job resumes and completes (no lost jobs),
-#   2. the checkpoint holds exactly one record per design point (no
-#      double-run points), and
+#   2. the job's event journal holds exactly one record per design point
+#      (no double-run points), and
 #   3. the final report is byte-identical to one from an uninterrupted
 #      daemon, and
 #   4. an SSE event stream held open across the crash resumes with
@@ -52,6 +52,15 @@ start_daemon() { # $1=spool $2=addrfile
   base="http://$(cat "$2")"
 }
 
+# journal_points FILE -> "<distinct> <duplicated>": how many design points
+# have a record in the event journal, and how many of them have more than
+# one. Only complete (newline-terminated) frames count: a frame torn by the
+# kill was never durable.
+journal_points() {
+  head -n "$(wc -l < "$1")" "$1" | grep -o '"record":{"id":"[^"]*"' | sort | uniq -c |
+    awk '{ distinct++; if ($1 > 1) dup++ } END { print distinct + 0, dup + 0 }'
+}
+
 job_field() { # $1=field -> value of "field": from the status JSON
   curl -sf "$base/v1/jobs/smoke" | tr ',{}' '\n\n\n' | sed -n "s/.*\"$1\"[[:space:]]*:[[:space:]]*\"\{0,1\}\([^\"]*\)\"\{0,1\}/\1/p" | head -1
 }
@@ -89,13 +98,13 @@ last_id=${last_id:-0}
 [ "$last_id" -ge 1 ] || { echo "FAIL: SSE stream delivered no events before the crash"; exit 1; }
 echo "stream severed after event id $last_id"
 
-ckpt="$spool/ckpt/smoke.jsonl"
-partial=$(wc -l < "$ckpt" 2>/dev/null || echo 0)
-if [ "$partial" -lt 1 ] || [ "$partial" -ge "$TOTAL" ]; then
-  echo "FAIL: SIGKILL landed outside the sweep ($partial/$TOTAL checkpointed)"
+journal="$spool/events/smoke.jsonl"
+read -r partial dups < <(journal_points "$journal")
+if [ "$partial" -lt 1 ] || [ "$partial" -ge "$TOTAL" ] || [ "$dups" -ne 0 ]; then
+  echo "FAIL: SIGKILL landed outside the sweep ($partial/$TOTAL journaled, $dups duplicated)"
   exit 1
 fi
-echo "killed -9 after $partial/$TOTAL checkpointed points"
+echo "killed -9 after $partial/$TOTAL journaled points"
 
 echo "== phase 2: restart over the same spool, job must resume =="
 start_daemon "$spool" "$addrfile"
@@ -106,8 +115,11 @@ for _ in $(seq 1 600); do
 done
 [ "$state" = done ] || { echo "FAIL: recovered job never finished (state=$state)"; exit 1; }
 
-lines=$(wc -l < "$ckpt")
-[ "$lines" -eq "$TOTAL" ] || { echo "FAIL: checkpoint holds $lines records for $TOTAL points (duplicates or loss)"; exit 1; }
+read -r points dups < <(journal_points "$journal")
+if [ "$points" -ne "$TOTAL" ] || [ "$dups" -ne 0 ]; then
+  echo "FAIL: journal holds records for $points/$TOTAL points, $dups duplicated (duplicates or loss)"
+  exit 1
+fi
 
 curl -sf "$base/v1/jobs/smoke/result" > "$workdir/recovered.json"
 

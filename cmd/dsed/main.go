@@ -1,7 +1,7 @@
 // Command dsed is the crash-safe design-space-exploration daemon: an
 // HTTP/JSON service that accepts sweep jobs, shards their design points
 // across a supervised worker fleet, and survives kill -9 at any instant —
-// the durable job queue and per-job checkpoints mean a restart resumes every
+// each job's durable event journal means a restart resumes every
 // interrupted job from its last completed point, with no duplicates and no
 // lost jobs.
 //
@@ -48,14 +48,14 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		addrFile     = flag.String("addr-file", "", "write the bound listen address to this file once serving (for :0 handshakes)")
-		dir          = flag.String("dir", "dsed-spool", "spool directory for durable job records, checkpoints, and results")
+		dir          = flag.String("dir", "dsed-spool", "spool directory for per-job event journals and sealed results")
 		jobWorkers   = flag.Int("job-workers", 2, "concurrent jobs")
 		sweepWorkers = flag.Int("sweep-workers", 4, "sweep workers per job")
 		maxQueued    = flag.Int("max-queued", 64, "admission control: queued jobs beyond this are rejected with 429")
 		tenantCap    = flag.Int("tenant-cap", 8, "admission control: max in-flight jobs per tenant")
 		cacheEntries = flag.Int("cache-entries", 4, "decoded traces held in the content-addressed cache")
 		memBudget    = flag.String("mem-budget", "", "heap soft budget, e.g. 512MiB: under pressure the fleet sheds workers (empty = off)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown window for in-flight checkpointing")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown window for requeueing in-flight jobs")
 		eventBuffer  = flag.Int("event-buffer", 64, "per-subscriber event buffer: a stream consumer this far behind is evicted (resume with Last-Event-ID)")
 		sseHeartbeat = flag.Duration("sse-heartbeat", 10*time.Second, "comment-heartbeat interval on /v1/jobs/{id}/events streams")
 		quiet        = flag.Bool("quiet", false, "suppress operational logging")
@@ -66,8 +66,7 @@ func main() {
 		retainAge       = flag.Duration("retain-age", 0, "GC terminal jobs older than this (0 = keep forever)")
 		retainJobs      = flag.Int("retain-jobs", 0, "keep at most this many terminal jobs, oldest evicted first (0 = unlimited)")
 		retainBytes     = flag.String("retain-bytes", "", "cap terminal jobs' combined spool bytes, oldest evicted first (empty = unlimited)")
-		maxCorrupt      = flag.Int("max-corrupt", 16, "cap on quarantined .corrupt spool records; oldest evicted beyond it")
-		compactRecords  = flag.Int("compact-records", 4096, "compact a job's event journal once it exceeds this many records (-1 disables)")
+		maxCorrupt      = flag.Int("max-corrupt", 16, "cap on quarantined .corrupt event journals; oldest evicted beyond it")
 		janitorInterval = flag.Duration("janitor-interval", 30*time.Second, "spool janitor sweep interval")
 
 		// Deterministic storage-fault injection for chaos smokes. Not for
@@ -100,10 +99,9 @@ func main() {
 			ProbeInterval: *diskProbe,
 		},
 		Retention: dsed.RetentionPolicy{
-			MaxAge:         *retainAge,
-			MaxJobs:        *retainJobs,
-			CompactRecords: *compactRecords,
-			Interval:       *janitorInterval,
+			MaxAge:   *retainAge,
+			MaxJobs:  *retainJobs,
+			Interval: *janitorInterval,
 		},
 		SSEHeartbeat: *sseHeartbeat,
 		Scheduler: dsed.SchedulerOptions{
@@ -163,10 +161,10 @@ func main() {
 		os.Exit(artifact.ExitError)
 	}
 
-	// First SIGINT/SIGTERM starts the graceful drain (stop intake,
-	// checkpoint in-flight jobs, exit 0). A second signal means the operator
-	// will not wait: exit ExitForced immediately — durable state is already
-	// checkpointed up to the first signal, and a restart resumes from it.
+	// First SIGINT/SIGTERM starts the graceful drain (stop intake, requeue
+	// in-flight jobs, exit 0). A second signal means the operator will not
+	// wait: exit ExitForced immediately — every completed point is already
+	// journaled, and a restart resumes from it.
 	ctx, stop := guard.SignalContext(context.Background(), func(sig os.Signal) {
 		fmt.Fprintf(os.Stderr, "dsed: second signal (%v): forcing exit; durable state will be recovered on restart\n", sig)
 		os.Exit(artifact.ExitForced)

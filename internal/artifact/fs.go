@@ -7,7 +7,7 @@ import (
 )
 
 // FS is the filesystem seam under every persistence path: the atomic
-// writers, the daemon's WAL spool, the event journals, and the sweep
+// writers, the daemon's event journals and result seals, and the sweep
 // checkpoints all perform their durable I/O through this interface instead
 // of calling the os package directly. Production code uses OS; chaos and
 // unit tests substitute a FaultFS to inject ENOSPC, EIO, fsync failures,

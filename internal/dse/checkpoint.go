@@ -179,30 +179,16 @@ func (r *CheckpointReport) String() string {
 }
 
 // LoadCheckpoint reads a JSON-lines checkpoint and returns the usable
-// records keyed by point ID plus the number of corrupt/stale lines skipped.
-// Corrupt lines (truncated writes, garbage, unknown points, invalid
-// metrics) are skipped — resume simply re-runs those points. When the same
-// point appears on multiple lines the last one wins.
-func LoadCheckpoint(path string, points []DesignPoint) (map[string]RunRecord, int, error) {
-	out, rep, err := LoadCheckpointReport(path, points, false)
-	return out, int(rep.Skipped), err
-}
-
-// LoadCheckpointReport is LoadCheckpoint with full salvage accounting and a
-// strict mode. Permissive (strict=false) drops any undecodable line; strict
-// fails on the first one — except a torn final line (no trailing newline),
-// the signature of a crash mid-append, which is tolerated and flagged in
-// the report in both modes because it is exactly the damage checkpoints
-// exist to absorb.
-func LoadCheckpointReport(path string, points []DesignPoint, strict bool) (map[string]RunRecord, *CheckpointReport, error) {
-	return LoadCheckpointReportFS(artifact.OS, path, points, strict)
-}
-
-// LoadCheckpointReportFS is LoadCheckpointReport against an explicit
-// filesystem (the daemon threads its spool FS through here).
-func LoadCheckpointReportFS(fsys artifact.FS, path string, points []DesignPoint, strict bool) (map[string]RunRecord, *CheckpointReport, error) {
+// records keyed by point ID plus a salvage report. When the same point
+// appears on multiple lines the last one wins. Permissive (strict=false)
+// skips any undecodable line — truncated writes, garbage, unknown points,
+// invalid metrics — and resume simply re-runs those points; strict fails on
+// the first one. A torn final line (no trailing newline), the signature of
+// a crash mid-append, is tolerated and flagged in the report in both modes
+// because it is exactly the damage checkpoints exist to absorb.
+func LoadCheckpoint(path string, points []DesignPoint, strict bool) (map[string]RunRecord, *CheckpointReport, error) {
 	rep := &CheckpointReport{}
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -260,14 +246,14 @@ type checkpointWriter struct {
 	f  artifact.File
 }
 
-// openCheckpoint opens the checkpoint for appending through fsys; without
-// resume the file is truncated so a fresh sweep starts clean.
-func openCheckpoint(fsys artifact.FS, path string, resume bool) (*checkpointWriter, error) {
+// openCheckpoint opens the checkpoint for appending; without resume the
+// file is truncated so a fresh sweep starts clean.
+func openCheckpoint(path string, resume bool) (*checkpointWriter, error) {
 	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
 	if !resume {
 		flags |= os.O_TRUNC
 	}
-	f, err := fsys.OpenFile(path, flags, 0o644)
+	f, err := artifact.OS.OpenFile(path, flags, 0o644)
 	if err != nil {
 		return nil, err
 	}

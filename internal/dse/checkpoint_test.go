@@ -41,12 +41,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, skipped, err := LoadCheckpoint(path, points)
+	loaded, rep, err := LoadCheckpoint(path, points, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 0 {
-		t.Fatalf("clean checkpoint skipped %d lines", skipped)
+	if rep.Skipped != 0 {
+		t.Fatalf("clean checkpoint skipped %d lines", rep.Skipped)
 	}
 	if len(loaded) != len(points) {
 		t.Fatalf("checkpoint holds %d records, want %d", len(loaded), len(points))
@@ -102,12 +102,12 @@ func TestCheckpointCorruptLineSkippedAndRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, skipped, err := LoadCheckpoint(path, points)
+	loaded, rep, err := LoadCheckpoint(path, points, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 1 {
-		t.Fatalf("skipped = %d corrupt lines, want 1", skipped)
+	if rep.Skipped != 1 {
+		t.Fatalf("skipped = %d corrupt lines, want 1", rep.Skipped)
 	}
 	if len(loaded) != len(points)-1 {
 		t.Fatalf("loaded %d records, want %d", len(loaded), len(points)-1)
@@ -239,7 +239,7 @@ func TestCheckpointTornTailFromConcurrentWriter(t *testing.T) {
 	}
 
 	for _, strict := range []bool{false, true} {
-		loaded, rep, err := LoadCheckpointReport(path, points, strict)
+		loaded, rep, err := LoadCheckpoint(path, points, strict)
 		if err != nil {
 			t.Fatalf("strict=%v: torn tail must not fail the load: %v", strict, err)
 		}
@@ -279,7 +279,7 @@ func TestCheckpointTornTailFromConcurrentWriter(t *testing.T) {
 	if err := os.WriteFile(path, []byte(head+tail), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, rep, err := LoadCheckpointReport(path, points, true)
+	loaded, rep, err := LoadCheckpoint(path, points, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestCheckpointTornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strict := range []bool{false, true} {
-		loaded, rep, err := LoadCheckpointReport(path, points, strict)
+		loaded, rep, err := LoadCheckpoint(path, points, strict)
 		if err != nil {
 			t.Fatalf("strict=%v: complete-but-unterminated tail rejected: %v", strict, err)
 		}
@@ -59,7 +59,7 @@ func TestCheckpointTornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strict := range []bool{false, true} {
-		loaded, rep, err := LoadCheckpointReport(path, points, strict)
+		loaded, rep, err := LoadCheckpoint(path, points, strict)
 		if err != nil {
 			t.Fatalf("strict=%v: torn final line must be tolerated, got %v", strict, err)
 		}
@@ -85,7 +85,7 @@ func TestCheckpointStrictInteriorCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, rep, err := LoadCheckpointReport(path, points, false)
+	loaded, rep, err := LoadCheckpoint(path, points, false)
 	if err != nil {
 		t.Fatalf("permissive load failed: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestCheckpointStrictInteriorCorruption(t *testing.T) {
 		t.Fatalf("permissive: loaded=%d skipped=%d torn=%v", len(loaded), rep.Skipped, rep.TornTail)
 	}
 
-	_, rep, err = LoadCheckpointReport(path, points, true)
+	_, rep, err = LoadCheckpoint(path, points, true)
 	if err == nil {
 		t.Fatal("strict load accepted malformed interior line")
 	}

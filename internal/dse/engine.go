@@ -76,7 +76,7 @@ func sweepEngine(ctx context.Context, pt *memsim.PreparedTrace, points []DesignP
 		if opts.Resume {
 			var err error
 			var rep *CheckpointReport
-			resumed, rep, err = LoadCheckpointReportFS(opts.fs(), opts.CheckpointPath, points, opts.StrictCheckpoint)
+			resumed, rep, err = LoadCheckpoint(opts.CheckpointPath, points, opts.StrictCheckpoint)
 			if err != nil && !errors.Is(err, os.ErrNotExist) {
 				return nil, fmt.Errorf("dse: resume: %w", err)
 			}
@@ -85,7 +85,7 @@ func sweepEngine(ctx context.Context, pt *memsim.PreparedTrace, points []DesignP
 			}
 		}
 		var err error
-		ckpt, err = openCheckpoint(opts.fs(), opts.CheckpointPath, opts.Resume)
+		ckpt, err = openCheckpoint(opts.CheckpointPath, opts.Resume)
 		if err != nil {
 			return nil, fmt.Errorf("dse: checkpoint: %w", err)
 		}
@@ -162,19 +162,7 @@ feed:
 		return records, fmt.Errorf("dse: sweep interrupted: %w", err)
 	}
 
-	survivors := 0
-	for i := range records {
-		if !records[i].Failed {
-			survivors++
-		}
-	}
-	if survivors == 0 {
-		return records, ErrAllFailed
-	}
-	if opts.MinSurvivors > 0 && survivors < opts.MinSurvivors {
-		return records, newSweepFailureError(records, survivors, opts.MinSurvivors)
-	}
-	return records, nil
+	return records, CheckSurvivors(records, opts.MinSurvivors)
 }
 
 // runPoint drives one design point to a terminal record: attempt, classify,
@@ -209,11 +197,9 @@ func runPoint(ctx context.Context, pt *memsim.PreparedTrace, p DesignPoint, opts
 	// A record cut short by sweep cancellation is not a terminal outcome;
 	// keep it out of the checkpoint so resume re-runs the point.
 	if ckpt != nil && !errors.Is(err, context.Canceled) {
-		if aerr := ckpt.Append(rec); aerr != nil && opts.OnCheckpointError != nil {
-			// Best-effort by contract, but the failure is a disk-health
-			// signal the daemon's governor wants to see.
-			opts.OnCheckpointError(aerr)
-		}
+		// Best-effort by contract: a failed append degrades resumability,
+		// not correctness.
+		_ = ckpt.Append(rec)
 	}
 	return rec
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"graphdse/internal/artifact"
 	"graphdse/internal/guard"
 	"graphdse/internal/memsim"
 	"graphdse/internal/trace"
@@ -94,27 +93,9 @@ type SweepOptions struct {
 	OnPoint func(done, total int)
 	// OnRecord, when set, receives every terminal record (including adopted
 	// checkpoint records) as it lands, before the matching OnPoint call —
-	// the daemon streams per-point failure-log events from it. Callers must
-	// make it safe for concurrent use.
+	// the daemon journals each point's record from it. Callers must make it
+	// safe for concurrent use.
 	OnRecord func(RunRecord)
-	// FS is the filesystem the checkpoint reads and appends through (nil =
-	// the real filesystem). The daemon threads its spool FS here so chaos
-	// tests can inject ENOSPC/EIO into checkpoint writes too.
-	FS artifact.FS
-	// OnCheckpointError, when set, observes every failed checkpoint append.
-	// Appends are best-effort — a failure degrades resumability, never
-	// correctness — but the daemon's disk governor uses this signal to
-	// detect a failing spool and enter degraded mode. Must be safe for
-	// concurrent use.
-	OnCheckpointError func(error)
-}
-
-// fs resolves the effective checkpoint filesystem.
-func (o *SweepOptions) fs() artifact.FS {
-	if o.FS != nil {
-		return o.FS
-	}
-	return artifact.OS
 }
 
 // injector resolves the effective fault injector, folding the legacy

@@ -14,6 +14,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"graphdse/internal/artifact"
 )
 
 // Env vars carrying the spool and addr-file paths to the subprocess re-exec
@@ -131,7 +133,7 @@ func startCrashHelperFor(t *testing.T, testName, addr, spool, addrFile string) *
 
 // TestDaemonKill9Recovery is the headline acceptance test: SIGKILL the
 // daemon mid-sweep, restart it over the same spool, and require that the job
-// resumes from its checkpoint — no lost jobs, no double-run points, and a
+// resumes from its journal — no lost jobs, no double-run points, and a
 // final report byte-identical to an uninterrupted daemon's. The clean
 // SIGTERM drain of the restarted daemon (exit 0) rides along.
 func TestDaemonKill9Recovery(t *testing.T) {
@@ -179,15 +181,15 @@ func TestDaemonKill9Recovery(t *testing.T) {
 	}
 	cmd.Wait()
 
-	ckpt := filepath.Join(spool, ckptDir, "crashjob.jsonl")
-	partial := countLines(ckpt)
-	if partial == 0 || partial >= total {
-		t.Fatalf("SIGKILL landed outside the sweep: %d/%d points checkpointed", partial, total)
+	journal := filepath.Join(spool, eventsDir, "crashjob.jsonl")
+	partial, dups := journalPoints(t, journal)
+	if partial == 0 || partial >= total || dups != 0 {
+		t.Fatalf("SIGKILL landed outside the sweep: %d/%d points journaled (%d duplicates)", partial, total, dups)
 	}
-	t.Logf("SIGKILL landed after %d/%d checkpointed points", partial, total)
+	t.Logf("SIGKILL landed after %d/%d journaled points", partial, total)
 
 	// Phase 2: restart over the same spool. Recovery must re-enqueue the
-	// job and the sweep must resume from the checkpoint.
+	// job and the sweep must resume from the journaled points.
 	cmd2 := startCrashHelper(t, spool, addrFile)
 	base = waitAddr(t, addrFile, 10*time.Second)
 	var st JobStatus
@@ -230,9 +232,9 @@ func TestDaemonKill9Recovery(t *testing.T) {
 		t.Fatalf("restarted daemon did not drain cleanly on SIGTERM: %v", err)
 	}
 
-	// No double-runs: the checkpoint holds exactly one record per point.
-	if n := countLines(ckpt); n != total {
-		t.Fatalf("checkpoint holds %d records for %d points — duplicates or loss", n, total)
+	// No double-runs: the journal holds exactly one record per point.
+	if n, dups := journalPoints(t, journal); n != total || dups != 0 {
+		t.Fatalf("journal holds %d distinct point records (%d duplicates) for %d points — duplicates or loss", n, dups, total)
 	}
 
 	// Phase 3: the reference — the same job on a fresh daemon, never
@@ -266,11 +268,27 @@ func TestDaemonKill9Recovery(t *testing.T) {
 	}
 }
 
-// countLines returns the number of complete lines in a file (0 if missing).
-func countLines(path string) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0
+// journalPoints counts the point records in a job's event journal: how
+// many distinct design points it holds, and how many records repeat a point
+// already seen (0 unless some point ran twice).
+func journalPoints(t *testing.T, path string) (distinct, dups int) {
+	t.Helper()
+	evs, _ := scanJournal(artifact.OS, path)
+	seen := make(map[string]bool)
+	for _, ev := range evs {
+		if ev.Type != EventProgress || len(ev.Record) == 0 {
+			continue
+		}
+		var rec struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(ev.Record, &rec); err != nil {
+			t.Fatalf("journaled point record: %v", err)
+		}
+		if seen[rec.ID] {
+			dups++
+		}
+		seen[rec.ID] = true
 	}
-	return bytes.Count(data, []byte("\n"))
+	return len(seen), dups
 }

@@ -18,7 +18,7 @@ import (
 type Options struct {
 	// Addr is the listen address (":0" picks a free port; see Daemon.Addr).
 	Addr string
-	// Dir is the spool directory (job records, checkpoints, results).
+	// Dir is the spool directory (event journals and results).
 	Dir string
 
 	Queue     QueueOptions
@@ -143,7 +143,7 @@ func (d *Daemon) Addr() string {
 }
 
 // Run serves until ctx is cancelled, then drains: intake stops (submissions
-// get 503), the scheduler's in-flight jobs are cancelled — each checkpoints
+// get 503), the scheduler's in-flight jobs are cancelled — each journals
 // its completed points and is durably requeued — and the HTTP server shuts
 // down. A clean drain returns nil; the process contract on top (cmd/dsed)
 // is exit 0 for drains and artifact.ExitForced for a second signal.
@@ -213,7 +213,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 
 	select {
 	case err := <-serveErr:
-		// The listener died under us: stop the fleet (jobs checkpoint and
+		// The listener died under us: stop the fleet (jobs journal and
 		// requeue) and report the failure.
 		stopSched()
 		wg.Wait()
@@ -222,8 +222,8 @@ func (d *Daemon) Run(ctx context.Context) error {
 	}
 
 	// Drain. Stop intake first so clients see 503 instead of enqueueing
-	// into a dying daemon, then let in-flight jobs checkpoint.
-	d.opts.Logf("dsed: draining: intake stopped, checkpointing in-flight jobs")
+	// into a dying daemon, then let in-flight jobs requeue.
+	d.opts.Logf("dsed: draining: intake stopped, requeueing in-flight jobs")
 	d.q.SetDraining(true)
 	stopSched()
 

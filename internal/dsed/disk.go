@@ -208,8 +208,8 @@ func (g *DiskGovernor) AwaitWritable(ctx context.Context) bool {
 }
 
 // ObserveWrite feeds one durable write's outcome into the health model.
-// Every persistence path (WAL records, event journals, checkpoints, result
-// seals) reports here: ENOSPC degrades immediately, other errors degrade
+// Every persistence path (event-journal appends and result seals) reports
+// here: ENOSPC degrades immediately, other errors degrade
 // after a streak, and any success both resets the streak and — because a
 // real committed write is at least as convincing as a probe — can clear
 // degraded mode when usage allows.

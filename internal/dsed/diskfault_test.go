@@ -54,20 +54,22 @@ func sameSnapshot(a, b map[string][]byte) error {
 	return nil
 }
 
-// TestChaosMatrixQueuePersistence drives every queue persistence path
-// (WAL submit, event append, finalize) through the full storage-fault
-// matrix. The invariants are identical for every fault: the operation
-// errors instead of panicking, nothing already durable changes, the
-// governor degrades to read-only, and clearing the fault restores full
-// service with the journal's valid prefix intact.
+// TestChaosMatrixQueuePersistence drives every spool persistence path —
+// submit (the journal's first event), terminal append, progress append and
+// result seal — through the full storage-fault matrix. The invariants are
+// identical for every fault that reaches a path: the operation errors
+// instead of panicking, nothing already durable changes, the governor
+// degrades to read-only, and clearing the fault restores full service with
+// the journal's valid prefix intact and every job recoverable from it.
 func TestChaosMatrixQueuePersistence(t *testing.T) {
 	cases := []struct {
 		name string
 		arm  func(f *artifact.FaultFS)
-		// appendFails: the fault also breaks journal appends. A failed
-		// rename does not — appends never rename, and their success
-		// legitimately recovers the governor.
-		appendFails bool
+		// journalFails: the fault also breaks journal appends (submit,
+		// terminal and progress events). A failed rename does not —
+		// appends never rename; only the result seal does — so there the
+		// appends must succeed.
+		journalFails bool
 	}{
 		{"enospc", func(f *artifact.FaultFS) { f.SetWriteBudget(0) }, true},
 		{"eio-write", func(f *artifact.FaultFS) { f.FailWrites(nil, 0) }, true},
@@ -87,7 +89,8 @@ func TestChaosMatrixQueuePersistence(t *testing.T) {
 			q.AttachDisk(g)
 
 			// Seed durable state before the fault: two jobs with journal
-			// history — one to keep, one to finalize under the fault.
+			// history — one to keep, one to finalize under the fault — and
+			// a sealed result the faulted seal must not disturb.
 			if _, _, err := q.Submit(workloadSpec("seed", "acme")); err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +100,11 @@ func TestChaosMatrixQueuePersistence(t *testing.T) {
 			if err := q.events.Emit("seed", Event{Type: EventProgress, Done: 1, Total: 4}); err != nil {
 				t.Fatal(err)
 			}
-			jobsSnap := durableSnapshot(t, filepath.Join(dir, jobsDir))
+			if err := q.writeResult("seed", []byte("sealed before the fault\n")); err != nil {
+				t.Fatal(err)
+			}
+			eventsSnap := durableSnapshot(t, filepath.Join(dir, eventsDir))
+			resultsSnap := durableSnapshot(t, filepath.Join(dir, resultsDir))
 			journalPath := filepath.Join(dir, eventsDir, "seed.jsonl")
 			preEvents, _ := scanJournal(artifact.OS, journalPath)
 			if len(preEvents) == 0 {
@@ -106,20 +113,32 @@ func TestChaosMatrixQueuePersistence(t *testing.T) {
 
 			c.arm(ffs)
 
-			// WAL submit under fault: errors, and the job never becomes
-			// visible.
-			if _, _, err := q.Submit(workloadSpec("victim", "acme")); err == nil {
-				t.Fatal("submit under storage fault reported success")
+			// expect checks one persistence path's outcome under the fault.
+			expect := func(path string, err error, fails bool) {
+				t.Helper()
+				if fails && err == nil {
+					t.Fatalf("%s under storage fault reported success", path)
+				}
+				if !fails && err != nil {
+					t.Fatalf("%s failed under a fault it never meets: %v", path, err)
+				}
 			}
-			if q.Known("victim") {
+			// Submit under fault: a failed submit never makes the job
+			// visible.
+			_, _, err = q.Submit(workloadSpec("victim", "acme"))
+			expect("submit", err, c.journalFails)
+			if err != nil && q.Known("victim") {
 				t.Fatal("failed submit left the job visible")
 			}
-			// Finalize under fault: the terminal transition must not be
-			// durably adopted (the on-disk record is covered by the
-			// snapshot check below; a restart would recover it as queued).
-			if err := q.Finalize("fin", StateFailed, "chaos", 0, 0); err == nil {
-				t.Fatal("finalize under storage fault reported success")
-			}
+			// Terminal append under fault: a failed one is not durably
+			// adopted (the events snapshot check below; a restart would
+			// recover the job as queued).
+			expect("finalize", q.Finalize("fin", StateFailed, "chaos", 0, 0), c.journalFails)
+			// Progress append under fault: errors, job unharmed.
+			expect("event append", q.events.Emit("seed", Event{Type: EventProgress, Done: 2, Total: 4}), c.journalFails)
+			// Result seal under fault: every fault class breaks it.
+			expect("result seal", q.writeResult("seed", []byte("sealed under the fault\n")), true)
+
 			// One observed failure is enough (FailureStreak: 1): read-only.
 			if g.Mode() != DiskDegraded {
 				t.Fatalf("mode %q after write failure, want degraded", g.Mode())
@@ -127,17 +146,17 @@ func TestChaosMatrixQueuePersistence(t *testing.T) {
 			if err := g.Admit(); !errors.Is(err, ErrDegraded) {
 				t.Fatalf("Admit while degraded: got %v, want ErrDegraded", err)
 			}
-			// Event append under fault: errors, job unharmed.
-			if c.appendFails {
-				if err := q.events.Emit("seed", Event{Type: EventProgress, Done: 2, Total: 4}); err == nil {
-					t.Fatal("event append under storage fault reported success")
-				}
-			}
 
-			// Nothing that was durable before the fault changed, and the
-			// journal's valid prefix still replays every pre-fault event.
-			if err := sameSnapshot(jobsSnap, durableSnapshot(t, filepath.Join(dir, jobsDir))); err != nil {
+			// Nothing that was durable before the fault changed: the sealed
+			// result, every journal when appends failed, and in any case the
+			// valid prefix that replays every pre-fault event.
+			if err := sameSnapshot(resultsSnap, durableSnapshot(t, filepath.Join(dir, resultsDir))); err != nil {
 				t.Fatal(err)
+			}
+			if c.journalFails {
+				if err := sameSnapshot(eventsSnap, durableSnapshot(t, filepath.Join(dir, eventsDir))); err != nil {
+					t.Fatal(err)
+				}
 			}
 			midEvents, _ := scanJournal(artifact.OS, journalPath)
 			if len(midEvents) < len(preEvents) {
@@ -163,8 +182,13 @@ func TestChaosMatrixQueuePersistence(t *testing.T) {
 			if err := q.events.Emit("seed", Event{Type: EventProgress, Done: 3, Total: 4}); err != nil {
 				t.Fatalf("event append after recovery: %v", err)
 			}
-			if err := q.Finalize("fin", StateFailed, "chaos", 0, 0); err != nil {
-				t.Fatalf("finalize after recovery: %v", err)
+			if c.journalFails {
+				if err := q.Finalize("fin", StateFailed, "chaos", 0, 0); err != nil {
+					t.Fatalf("finalize after recovery: %v", err)
+				}
+			}
+			if err := q.writeResult("seed", []byte("sealed after recovery\n")); err != nil {
+				t.Fatalf("result seal after recovery: %v", err)
 			}
 			// The journal self-healed: the post-recovery event is replayable,
 			// not hidden behind torn bytes from the failed append.
@@ -172,6 +196,30 @@ func TestChaosMatrixQueuePersistence(t *testing.T) {
 			last := postEvents[len(postEvents)-1]
 			if last.Type != EventProgress || last.Done != 3 {
 				t.Fatalf("post-recovery event not replayable from journal: %+v", last)
+			}
+
+			// Every job folds back from its journal after a restart, with
+			// the terminal transition journaled exactly once.
+			q.Close()
+			q2, err := OpenQueue(dir, QueueOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q2.Close()
+			if rep := q2.Recovery(); rep.Terminal != 1 || rep.Requeued != 2 || rep.Corrupt != 0 {
+				t.Fatalf("recovery after the drill: %+v", rep)
+			}
+			if rec, err := q2.Get("fin"); err != nil || rec.State != StateFailed || rec.Error != "chaos" {
+				t.Fatalf("finalized job after restart: %+v err=%v", rec, err)
+			}
+			terminals := 0
+			for _, ev := range q2.events.History("fin") {
+				if ev.Terminal() {
+					terminals++
+				}
+			}
+			if terminals != 1 {
+				t.Fatalf("fin journal holds %d terminal events, want 1", terminals)
 			}
 		})
 	}
@@ -406,78 +454,6 @@ func TestDaemonDegradesAndRecoversEndToEnd(t *testing.T) {
 	}
 	if statusz.Disk.Mode != DiskOK || statusz.Disk.WriteFailures == 0 || statusz.Disk.Recoveries == 0 {
 		t.Fatalf("statusz disk after drill: %+v", statusz.Disk)
-	}
-}
-
-// TestSSEResumeAcrossCompactedJournal: compaction preserves sequence
-// numbers, so a subscriber resuming with Last-Event-ID across a compacted
-// journal sees every surviving event exactly once — no duplicates at or
-// below its resume point, and the stream's tail intact.
-func TestSSEResumeAcrossCompactedJournal(t *testing.T) {
-	dir := t.TempDir()
-	l := NewEventLog(dir, 16)
-	defer l.Close()
-
-	const total = 40
-	if err := l.Emit("j", Event{Type: EventState, State: StateQueued}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= total; i++ {
-		if err := l.Emit("j", Event{Type: EventProgress, Done: i, Total: total}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Emit("j", Event{Type: EventState, State: StateRunning}); err != nil {
-		t.Fatal(err)
-	}
-	before := l.RecordCount("j")
-	var maxSeq uint64
-	for _, ev := range mustBacklog(t, l, "j", 0) {
-		if ev.Seq > maxSeq {
-			maxSeq = ev.Seq
-		}
-	}
-
-	dropped, err := l.Compact("j", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped == 0 {
-		t.Fatal("compaction dropped nothing on a progress-heavy journal")
-	}
-	if after := l.RecordCount("j"); after >= before {
-		t.Fatalf("record count %d -> %d: compaction did not shrink history", before, after)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "j"+snapSuffix)); err != nil {
-		t.Fatalf("sealed snapshot missing: %v", err)
-	}
-
-	// Resume mid-stream: everything delivered is new, ordered, and the
-	// stream still ends where it ended.
-	resumeAt := maxSeq / 2
-	backlog := mustBacklog(t, l, "j", resumeAt)
-	if len(backlog) == 0 {
-		t.Fatal("no backlog after resume across compaction")
-	}
-	prev := resumeAt
-	for _, ev := range backlog {
-		if ev.Seq <= prev {
-			t.Fatalf("resume replayed seq %d (resume point %d): duplicate delivery", ev.Seq, resumeAt)
-		}
-		prev = ev.Seq
-	}
-	tail := backlog[len(backlog)-1]
-	if tail.Seq != maxSeq || tail.Type != EventState || tail.State != StateRunning {
-		t.Fatalf("stream tail lost across compaction: %+v (want seq %d)", tail, maxSeq)
-	}
-
-	// Emitting after compaction continues the same sequence space.
-	if err := l.Emit("j", Event{Type: EventState, State: StateDone}); err != nil {
-		t.Fatal(err)
-	}
-	final := mustBacklog(t, l, "j", maxSeq)
-	if len(final) != 1 || final[0].Seq != maxSeq+1 || !final[0].Terminal() {
-		t.Fatalf("post-compaction emit broke the sequence space: %+v", final)
 	}
 }
 

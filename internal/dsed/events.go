@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,6 +50,15 @@ type Event struct {
 	Point    string `json:"point,omitempty"`
 	Class    string `json:"class,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
+	// Spec and SubmitSeq ride on a job's first event (its queued state):
+	// the journal is the job's only durable record, and recovery rebuilds
+	// the job from them.
+	Spec      *JobSpec `json:"spec,omitempty"`
+	SubmitSeq uint64   `json:"submit_seq,omitempty"`
+	// Record carries one completed design point's canonical
+	// dse.EncodeRecord line on EventProgress records; a resumed job skips
+	// every point its journal already holds.
+	Record json.RawMessage `json:"record,omitempty"`
 }
 
 // Event types. Everything except EventLag is journaled before it is
@@ -59,7 +68,8 @@ type Event struct {
 const (
 	// EventState records a job lifecycle transition (see JobState).
 	EventState = "state"
-	// EventProgress records sweep progress (Done/Total completed points).
+	// EventProgress records sweep progress (Done/Total completed points),
+	// carrying the completed point's record when one just landed.
 	EventProgress = "progress"
 	// EventFailure records one design point's terminal failure — the
 	// streaming form of the sweep failure log.
@@ -85,18 +95,21 @@ type eventEnvelope struct {
 	Ev  json.RawMessage `json:"ev"`
 }
 
-// encodeEvent frames one event for the journal.
+// encodeEvent frames one event for the journal. The frame is assembled by
+// hand: body is already compact JSON, and json.Marshal of the envelope
+// would only re-scan it (a whole point record, on progress events) to
+// produce the same bytes.
 func encodeEvent(ev *Event) ([]byte, error) {
 	body, err := json.Marshal(ev)
 	if err != nil {
 		return nil, err
 	}
-	env := eventEnvelope{CRC: artifact.Checksum(body), Ev: body}
-	out, err := json.Marshal(&env)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+	out := make([]byte, 0, len(body)+32)
+	out = append(out, `{"crc":`...)
+	out = strconv.AppendUint(out, uint64(artifact.Checksum(body)), 10)
+	out = append(out, `,"ev":`...)
+	out = append(out, body...)
+	return append(out, "}\n"...), nil
 }
 
 // decodeEvent verifies and unmarshals one journal line. Checksum or
@@ -138,10 +151,6 @@ type EventLogStats struct {
 	// position; FullReplays counts those that started from scratch.
 	ResumeHits  int64 `json:"resume_hits"`
 	FullReplays int64 `json:"full_replays"`
-	// Compactions counts journal compactions (snapshot rewrites);
-	// CompactDropped counts superseded records they discarded.
-	Compactions    int64 `json:"compactions"`
-	CompactDropped int64 `json:"compact_dropped"`
 }
 
 // A Subscriber is one attached consumer of a job's event stream. Events
@@ -166,26 +175,19 @@ func (s *Subscriber) Evicted() <-chan struct{} { return s.evicted }
 // file is opened lazily, kept open while the job is live, and closed when
 // the terminal state event is journaled, so open file handles are bounded
 // by active jobs rather than spool history.
-//
-// A long journal may have been compacted into two files: a sealed snapshot
-// (snap, written atomically, holding the compacted prefix of the stream)
-// plus the live tail (path, append-only). History is the snapshot followed
-// by every tail event with seq greater than the snapshot's maximum — a rule
-// that also absorbs a crash between writing the snapshot and rewriting the
-// tail, when the tail still duplicates the snapshot's records.
 type jobStream struct {
 	mu sync.Mutex
-	// path and snap are set once in stream() and immutable afterwards.
+	// path is set once in stream() and immutable afterwards.
 	path string
-	snap string
 	// f is guarded by mu.
 	f artifact.File
 	// replayed is guarded by mu.
 	replayed bool
+	// size is the byte length of the journal's valid prefix once replayed;
+	// guarded by mu.
+	size int64
 	// next is the next seq to assign (1-based); guarded by mu.
 	next uint64
-	// lastState is guarded by mu.
-	lastState JobState
 	// subs is guarded by mu.
 	subs map[*Subscriber]struct{}
 }
@@ -213,15 +215,13 @@ type EventLog struct {
 	// streams is guarded by mu.
 	streams map[string]*jobStream
 
-	written        atomic.Int64
-	replayed       atomic.Int64
-	errors         atomic.Int64
-	subscribers    atomic.Int64
-	evictions      atomic.Int64
-	resumeHits     atomic.Int64
-	fullReplays    atomic.Int64
-	compactions    atomic.Int64
-	compactDropped atomic.Int64
+	written     atomic.Int64
+	replayed    atomic.Int64
+	errors      atomic.Int64
+	subscribers atomic.Int64
+	evictions   atomic.Int64
+	resumeHits  atomic.Int64
+	fullReplays atomic.Int64
 }
 
 // NewEventLog opens an event log rooted at dir (one journal file per job)
@@ -257,15 +257,13 @@ func (l *EventLog) observeWrite(err error) {
 // Stats snapshots the counters.
 func (l *EventLog) Stats() EventLogStats {
 	return EventLogStats{
-		Written:        l.written.Load(),
-		Replayed:       l.replayed.Load(),
-		Errors:         l.errors.Load(),
-		Subscribers:    l.subscribers.Load(),
-		SlowEvictions:  l.evictions.Load(),
-		ResumeHits:     l.resumeHits.Load(),
-		FullReplays:    l.fullReplays.Load(),
-		Compactions:    l.compactions.Load(),
-		CompactDropped: l.compactDropped.Load(),
+		Written:       l.written.Load(),
+		Replayed:      l.replayed.Load(),
+		Errors:        l.errors.Load(),
+		Subscribers:   l.subscribers.Load(),
+		SlowEvictions: l.evictions.Load(),
+		ResumeHits:    l.resumeHits.Load(),
+		FullReplays:   l.fullReplays.Load(),
 	}
 }
 
@@ -276,8 +274,7 @@ func (l *EventLog) stream(job string) *jobStream {
 	st, ok := l.streams[job]
 	if !ok {
 		st = &jobStream{
-			path: filepath.Join(l.dir, job+".jsonl"),
-			snap: filepath.Join(l.dir, job+snapSuffix),
+			path: l.path(job),
 			subs: map[*Subscriber]struct{}{},
 		}
 		l.streams[job] = st
@@ -285,9 +282,9 @@ func (l *EventLog) stream(job string) *jobStream {
 	return st
 }
 
-// snapSuffix names a job's sealed compaction snapshot next to its live
-// tail (<job>.jsonl).
-const snapSuffix = ".snap.jsonl"
+// path names job's journal file. Job IDs are validated at admission
+// (safeID), so the name cannot escape the journal directory.
+func (l *EventLog) path(job string) string { return filepath.Join(l.dir, job+".jsonl") }
 
 // scanJournal reads every valid event from a journal file, stopping at the
 // first damaged or unterminated line: the valid prefix is the journal,
@@ -332,51 +329,25 @@ func scanJournalBytes(data []byte) ([]Event, int64) {
 	return out, valid
 }
 
-// historyLocked assembles a job's full durable event history: the sealed
-// snapshot (if any) followed by every live-tail event above the snapshot's
-// maximum seq. The seq filter makes the two-file read crash-consistent: a
-// daemon killed after the snapshot landed but before the tail was rewritten
-// replays each record exactly once.
-func (st *jobStream) historyLocked(fsys artifact.FS) ([]Event, int64) {
-	snapEvs, _ := scanJournal(fsys, st.snap)
-	var snapMax uint64
-	for i := range snapEvs {
-		if snapEvs[i].Seq > snapMax {
-			snapMax = snapEvs[i].Seq
-		}
-	}
-	tailEvs, valid := scanJournal(fsys, st.path)
-	out := snapEvs
-	for _, ev := range tailEvs {
-		if ev.Seq > snapMax {
-			out = append(out, ev)
-		}
-	}
-	return out, valid
-}
-
-// replayLocked recovers the stream's sequence counter (and last journaled
-// state) from disk on first touch after a restart, truncating any damaged
-// tail so subsequent appends extend the valid prefix instead of splicing
-// onto garbage. The truncated bytes were never observable (publication
-// strictly follows a successful append), so their seqs are safely reused.
-// Caller holds st.mu.
+// replayLocked recovers the stream's sequence counter from disk on first
+// touch after a restart, truncating any damaged tail so subsequent appends
+// extend the valid prefix instead of splicing onto garbage. The truncated
+// bytes were never observable (publication strictly follows a successful
+// append), so their seqs are safely reused. Caller holds st.mu.
 func (st *jobStream) replayLocked(l *EventLog) {
 	if st.replayed {
 		return
 	}
-	evs, valid := st.historyLocked(l.fs)
+	evs, valid := scanJournal(l.fs, st.path)
 	if fi, err := l.fs.Stat(st.path); err == nil && fi.Size() > valid {
 		_ = l.fs.Truncate(st.path, valid)
 	}
+	st.size = valid
 	st.next = 1
 	for i := range evs {
 		ev := &evs[i]
 		if ev.Seq >= st.next {
 			st.next = ev.Seq + 1
-		}
-		if ev.Type == EventState {
-			st.lastState = ev.State
 		}
 	}
 	l.replayed.Add(int64(len(evs)))
@@ -384,16 +355,18 @@ func (st *jobStream) replayLocked(l *EventLog) {
 }
 
 // repairLocked resets the stream after a failed append: the journal may now
-// end in a torn record, and appending more bytes onto it would hide every
-// later event behind the damage. Dropping the handle and the replayed flag
-// makes the next Emit re-scan the journal, truncate the torn tail away, and
-// recover the sequence counter from what is actually durable. Caller holds
+// end in a torn record — or a whole one whose fsync failed, which must
+// never be trusted — and appending onto it would hide every later event
+// behind the damage. The journal is cut back to its valid prefix, so a
+// failed append leaves no trace, and dropping the handle and the replayed
+// flag makes the next Emit re-scan what is actually durable. Caller holds
 // st.mu.
-func (st *jobStream) repairLocked() {
+func (st *jobStream) repairLocked(l *EventLog) {
 	if st.f != nil {
 		st.f.Close()
 		st.f = nil
 	}
+	_ = l.fs.Truncate(st.path, st.size)
 	st.replayed = false
 }
 
@@ -427,20 +400,18 @@ func (l *EventLog) Emit(job string, ev Event) error {
 	if _, err := st.f.Write(data); err != nil {
 		l.errors.Add(1)
 		l.observeWrite(err)
-		st.repairLocked()
+		st.repairLocked(l)
 		return fmt.Errorf("dsed: append event journal: %w", err)
 	}
 	if err := st.f.Sync(); err != nil {
 		l.errors.Add(1)
 		l.observeWrite(err)
-		st.repairLocked()
+		st.repairLocked(l)
 		return fmt.Errorf("dsed: sync event journal: %w", err)
 	}
 	l.observeWrite(nil)
+	st.size += int64(len(data))
 	st.next++
-	if ev.Type == EventState {
-		st.lastState = ev.State
-	}
 	l.written.Add(1)
 
 	// Durable → observable. Never block on a subscriber: a full buffer
@@ -462,24 +433,6 @@ func (l *EventLog) Emit(job string, ev Event) error {
 		st.f = nil
 	}
 	return nil
-}
-
-// EnsureState appends a state event only if the journal's last state
-// transition differs from ev.State. Recovery uses it to reconcile the
-// journal with the authoritative job record: a crash between the record
-// write and the journal append leaves the journal one transition behind,
-// and this closes the gap idempotently.
-func (l *EventLog) EnsureState(job string, ev Event) error {
-	st := l.stream(job)
-	st.mu.Lock()
-	st.replayLocked(l)
-	last := st.lastState
-	st.mu.Unlock()
-	if last == ev.State {
-		return nil
-	}
-	ev.Type = EventState
-	return l.Emit(job, ev)
 }
 
 // Subscribe attaches a consumer to job's stream, resuming after seq
@@ -510,10 +463,7 @@ func (l *EventLog) Subscribe(job string, after uint64) (*Subscriber, []Event, er
 
 	var backlog []Event
 	if after < cur {
-		st.mu.Lock()
-		evs, _ := st.historyLocked(l.fs)
-		st.mu.Unlock()
-		for _, ev := range evs {
+		for _, ev := range l.History(job) {
 			if ev.Seq > after && ev.Seq <= cur {
 				backlog = append(backlog, ev)
 			}
@@ -523,108 +473,19 @@ func (l *EventLog) Subscribe(job string, after uint64) (*Subscriber, []Event, er
 	return sub, backlog, nil
 }
 
-// compactPrefix reduces the to-be-snapshotted prefix of a stream: interior
-// progress events are superseded by the latest one, so only the last
-// progress record in the prefix survives. State transitions, failures, and
-// seal records are history a client may legitimately want and are kept.
-func compactPrefix(prefix []Event) (kept []Event, dropped int) {
-	lastProgress := -1
-	for i := range prefix {
-		if prefix[i].Type == EventProgress {
-			lastProgress = i
-		}
-	}
-	kept = make([]Event, 0, len(prefix))
-	for i := range prefix {
-		if prefix[i].Type == EventProgress && i != lastProgress {
-			dropped++
-			continue
-		}
-		kept = append(kept, prefix[i])
-	}
-	return kept, dropped
-}
-
-// Compact rewrites job's journal as a sealed snapshot plus a short live
-// tail. The last keepTail events are preserved verbatim in the tail; the
-// prefix is compacted (superseded progress dropped) and sealed atomically
-// into the snapshot file, then the tail is rewritten atomically. Original
-// sequence numbers are preserved, so Last-Event-ID resume keeps working —
-// clients filter on seq, and the contract tolerates the seq gaps that
-// dropped records leave behind. Returns how many records compaction
-// discarded; 0 means the journal was left untouched.
-func (l *EventLog) Compact(job string, keepTail int) (int, error) {
-	if keepTail < 1 {
-		keepTail = 1
-	}
+// History returns job's durable event history: every valid journaled
+// event, in seq order.
+func (l *EventLog) History(job string) []Event {
 	st := l.stream(job)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.replayLocked(l)
-
-	history, _ := st.historyLocked(l.fs)
-	if len(history) <= keepTail {
-		return 0, nil
-	}
-	cut := len(history) - keepTail
-	snapEvs, dropped := compactPrefix(history[:cut])
-	if dropped == 0 {
-		// Nothing to reclaim; rewriting would be pure churn.
-		return 0, nil
-	}
-	tailEvs := history[cut:]
-
-	writeFrames := func(path string, evs []Event) error {
-		return artifact.WriteFileAtomicFS(l.fs, path, 0o644, func(w io.Writer) error {
-			for i := range evs {
-				frame, err := encodeEvent(&evs[i])
-				if err != nil {
-					return err
-				}
-				if _, err := w.Write(frame); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-
-	// Snapshot first: until the tail is rewritten, history is recovered as
-	// snapshot + tail-events-above-snapMax, so a crash between the two
-	// atomic writes duplicates nothing and loses nothing.
-	if err := writeFrames(st.snap, snapEvs); err != nil {
-		l.observeWrite(err)
-		return 0, fmt.Errorf("dsed: compact snapshot %s: %w", job, err)
-	}
-	// The open append handle points at the file being replaced; drop it so
-	// the next Emit reopens the rewritten tail.
-	if st.f != nil {
-		st.f.Close()
-		st.f = nil
-	}
-	if err := writeFrames(st.path, tailEvs); err != nil {
-		l.observeWrite(err)
-		return 0, fmt.Errorf("dsed: compact tail %s: %w", job, err)
-	}
-	l.observeWrite(nil)
-	l.compactions.Add(1)
-	l.compactDropped.Add(int64(dropped))
-	return dropped, nil
-}
-
-// RecordCount returns how many durable events job's journal currently
-// holds across snapshot and tail (the janitor's compaction trigger).
-func (l *EventLog) RecordCount(job string) int {
-	st := l.stream(job)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	history, _ := st.historyLocked(l.fs)
-	return len(history)
+	evs, _ := scanJournal(l.fs, st.path)
+	return evs
 }
 
 // DropStream closes and forgets job's in-memory stream handle so the
-// janitor can delete the journal files out from under it. Subscribers, if
-// any, are evicted. The files themselves are the caller's to remove.
+// janitor can delete the journal out from under it. Subscribers, if any,
+// are evicted. The file itself is the caller's to remove.
 func (l *EventLog) DropStream(job string) {
 	l.mu.Lock()
 	st, ok := l.streams[job]
@@ -649,28 +510,14 @@ func (l *EventLog) DropStream(job string) {
 	}
 }
 
-// journalFiles returns the on-disk files backing job's journal (tail then
-// snapshot) for GC.
-func (l *EventLog) journalFiles(job string) []string {
-	return []string{
-		filepath.Join(l.dir, job+".jsonl"),
-		filepath.Join(l.dir, job+snapSuffix),
-	}
-}
-
-// jobFromJournalName maps a journal file name back to its job ID ("" for
-// non-journal files such as temps or quarantine).
-func jobFromJournalName(name string) string {
-	if strings.HasPrefix(name, ".") {
+// jobOfFile maps a spool file name <id><ext> back to its job ID ("" for
+// any other file, such as an atomic-write temp or a .corrupt quarantine).
+func jobOfFile(name, ext string) string {
+	id, ok := strings.CutSuffix(name, ext)
+	if !ok || strings.HasPrefix(name, ".") {
 		return ""
 	}
-	if j, ok := strings.CutSuffix(name, snapSuffix); ok {
-		return j
-	}
-	if j, ok := strings.CutSuffix(name, ".jsonl"); ok {
-		return j
-	}
-	return ""
+	return id
 }
 
 // Unsubscribe detaches a subscriber (idempotent; eviction already detaches).

@@ -257,44 +257,6 @@ func TestEventLogLiveDeliveryAndTerminalClosesJournal(t *testing.T) {
 	}
 }
 
-func TestEventLogEnsureStateIsIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	l := NewEventLog(dir, 8)
-	if err := l.Emit("j1", Event{Type: EventState, State: StateQueued}); err != nil {
-		t.Fatal(err)
-	}
-	// Same state: no-op. New state: appended.
-	if err := l.EnsureState("j1", Event{State: StateQueued}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.EnsureState("j1", Event{State: StateRunning, Attempt: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.EnsureState("j1", Event{State: StateRunning, Attempt: 1}); err != nil {
-		t.Fatal(err)
-	}
-	_, backlog, err := l.Subscribe("j1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(backlog) != 2 {
-		t.Fatalf("backlog = %d events, want 2 (queued, running)", len(backlog))
-	}
-	// And it must hold across a reopen — the recovery path.
-	l.Close()
-	l2 := NewEventLog(dir, 8)
-	if err := l2.EnsureState("j1", Event{State: StateRunning, Attempt: 1}); err != nil {
-		t.Fatal(err)
-	}
-	_, backlog, err = l2.Subscribe("j1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(backlog) != 2 {
-		t.Fatalf("backlog after reopen = %d events, want 2", len(backlog))
-	}
-}
-
 func TestDecodeEventRejectsDamage(t *testing.T) {
 	ev := Event{Seq: 1, Job: "j1", Type: EventState, State: StateQueued}
 	line, err := encodeEvent(&ev)
@@ -311,5 +273,26 @@ func TestDecodeEventRejectsDamage(t *testing.T) {
 	}
 	if _, err := decodeEvent([]byte(`{"crc":0,"ev":{"seq":0,"type":""}}`)); err == nil {
 		t.Fatal("decode accepted an event with no seq/type")
+	}
+}
+
+// TestSubscribeNeverReplaysAnotherJobsJournal: job "x"'s history is
+// events/x.jsonl and nothing else. The spool once also read
+// <id>.snap.jsonl as a job's compaction snapshot — which is exactly job
+// "x.snap"'s journal, so subscribing to "x" replayed "x.snap"'s events.
+func TestSubscribeNeverReplaysAnotherJobsJournal(t *testing.T) {
+	q, err := OpenQueue(t.TempDir(), QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if _, _, err := q.Submit(workloadSpec("x.snap", "")); err != nil {
+		t.Fatal(err)
+	}
+	if backlog := mustBacklog(t, q.events, "x", 0); len(backlog) != 0 {
+		t.Fatalf("job x replayed %d events of job x.snap: %+v", len(backlog), backlog)
+	}
+	if backlog := mustBacklog(t, q.events, "x.snap", 0); len(backlog) != 1 || backlog[0].Job != "x.snap" {
+		t.Fatalf("job x.snap backlog: %+v", backlog)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // values disable the corresponding limit; live (queued/running) jobs are
 // never touched.
 type RetentionPolicy struct {
-	// MaxAge garbage-collects terminal jobs whose record is older (0 = keep
-	// forever).
+	// MaxAge garbage-collects terminal jobs whose journal was last
+	// appended to longer ago (0 = keep forever).
 	MaxAge time.Duration
 	// MaxJobs keeps at most this many terminal jobs, oldest evicted first
 	// (0 = unlimited).
@@ -21,12 +21,6 @@ type RetentionPolicy struct {
 	// MaxBytes caps the terminal jobs' combined spool footprint, oldest
 	// evicted first until under (0 = unlimited).
 	MaxBytes int64
-	// CompactRecords triggers event-journal compaction once a job's journal
-	// exceeds this many records (default 4096; <0 disables compaction).
-	CompactRecords int
-	// CompactKeepTail is how many trailing events compaction preserves
-	// verbatim in the live tail (default 16).
-	CompactKeepTail int
 	// TempMaxAge garbage-collects orphaned atomic-write temp files older
 	// than this — the residue of a crash mid-commit (default 1h).
 	TempMaxAge time.Duration
@@ -35,12 +29,6 @@ type RetentionPolicy struct {
 }
 
 func (p *RetentionPolicy) fill() {
-	if p.CompactRecords == 0 {
-		p.CompactRecords = 4096
-	}
-	if p.CompactKeepTail <= 0 {
-		p.CompactKeepTail = 16
-	}
 	if p.TempMaxAge <= 0 {
 		p.TempMaxAge = time.Hour
 	}
@@ -54,26 +42,21 @@ type JanitorStats struct {
 	Sweeps      int64 `json:"sweeps"`
 	JobsRemoved int64 `json:"jobs_removed"`
 	BytesFreed  int64 `json:"bytes_freed"`
-	// Orphans counts recordless spool files collected (crash-mid-GC or
-	// crash-mid-submit residue); Temps counts stale atomic-write temps.
-	Orphans int64 `json:"orphans"`
-	Temps   int64 `json:"temps"`
-	// Compacted counts journals rewritten; CompactDropped the records their
-	// compactions discarded.
-	Compacted      int64  `json:"compacted"`
-	CompactDropped int64  `json:"compact_dropped"`
-	Errors         int64  `json:"errors"`
-	LastError      string `json:"last_error,omitempty"`
-	LastSweep      string `json:"last_sweep,omitempty"`
+	// Orphans counts spool files of unknown jobs collected (crash-mid-GC or
+	// failed-submit residue); Temps counts stale atomic-write temps.
+	Orphans   int64  `json:"orphans"`
+	Temps     int64  `json:"temps"`
+	Errors    int64  `json:"errors"`
+	LastError string `json:"last_error,omitempty"`
+	LastSweep string `json:"last_sweep,omitempty"`
 }
 
 // Janitor is the spool's lifecycle garbage collector: it applies the
-// retention policy to terminal jobs, compacts long event journals into
-// sealed snapshots, collects orphaned files left by crashes, and prunes
-// stale atomic-write temps. Every deletion follows the safe order encoded
-// in Queue.GCJob (tombstone first, artifact last), so a crash mid-sweep
-// leaves only orphans the next sweep collects — never a job whose record
-// promises files that are gone.
+// retention policy to terminal jobs, collects orphaned files left by
+// crashes, and prunes stale atomic-write temps. Every deletion follows the
+// safe order encoded in Queue.GCJob (journal first, result last), so a
+// crash mid-sweep leaves only orphans the next sweep collects — never a
+// job whose journal promises files that are gone.
 type Janitor struct {
 	q      *Queue
 	policy RetentionPolicy
@@ -113,11 +96,10 @@ func (j *Janitor) Run(ctx context.Context) {
 	}
 }
 
-// Sweep runs one full janitor pass: compaction, retention GC, orphan
-// collection, stale-temp pruning. It is safe to call concurrently with
-// submissions and running jobs.
+// Sweep runs one full janitor pass: retention GC, orphan collection,
+// stale-temp pruning. It is safe to call concurrently with submissions and
+// running jobs.
 func (j *Janitor) Sweep() {
-	j.compactJournals()
 	j.applyRetention()
 	j.collectOrphans()
 	j.pruneTemps()
@@ -132,34 +114,6 @@ func (j *Janitor) fail(err error) {
 	j.stats.Errors++
 	j.stats.LastError = err.Error()
 	j.mu.Unlock()
-}
-
-// compactJournals rewrites any event journal grown past the policy
-// threshold as snapshot + tail (see EventLog.Compact). Running jobs are
-// fair game — compaction preserves seqs, so live Last-Event-ID resume is
-// unaffected.
-func (j *Janitor) compactJournals() {
-	if j.policy.CompactRecords < 0 {
-		return
-	}
-	events := j.q.Events()
-	for _, rec := range j.q.List() {
-		id := rec.Spec.ID
-		if events.RecordCount(id) <= j.policy.CompactRecords {
-			continue
-		}
-		dropped, err := events.Compact(id, j.policy.CompactKeepTail)
-		if err != nil {
-			j.fail(err)
-			continue
-		}
-		if dropped > 0 {
-			j.mu.Lock()
-			j.stats.Compacted++
-			j.stats.CompactDropped += int64(dropped)
-			j.mu.Unlock()
-		}
-	}
 }
 
 // applyRetention GCs terminal jobs past the age/count/byte limits, oldest
@@ -183,7 +137,7 @@ func (j *Janitor) applyRetention() {
 		id := rec.Spec.ID
 		bytes := j.q.JobBytes(id)
 		if p.MaxAge > 0 {
-			if info, err := j.q.fs.Stat(j.q.jobPath(id)); err == nil && now.Sub(info.ModTime()) > p.MaxAge {
+			if info, err := j.q.fs.Stat(j.q.journalPath(id)); err == nil && now.Sub(info.ModTime()) > p.MaxAge {
 				j.gc(id)
 				continue
 			}
@@ -214,31 +168,15 @@ func (j *Janitor) gc(id string) {
 	j.mu.Unlock()
 }
 
-// collectOrphans removes spool files whose job the queue no longer knows —
-// the residue of a crash between GC steps. The ownership check runs at
-// removal time per candidate, so a submission racing the sweep can never
-// lose a file: its record is durable (and indexed) before any of its other
-// spool files exist.
+// collectOrphans removes spool files whose job the queue does not know —
+// the residue of a crash between GC steps or of a failed submission. The
+// ownership check runs per candidate at removal time, under the lock
+// Submit indexes jobs with (Queue.removeOrphan), so a submission racing
+// the sweep never loses a file.
 func (j *Janitor) collectOrphans() {
-	type scan struct {
-		dir   string
-		toJob func(name string) string
-	}
-	stripExt := func(ext string) func(string) string {
-		return func(name string) string {
-			if strings.HasPrefix(name, ".") {
-				return ""
-			}
-			if id, ok := strings.CutSuffix(name, ext); ok {
-				return id
-			}
-			return ""
-		}
-	}
-	scans := []scan{
-		{filepath.Join(j.q.dir, ckptDir), stripExt(".jsonl")},
-		{filepath.Join(j.q.dir, resultsDir), stripExt(".json")},
-		{filepath.Join(j.q.dir, eventsDir), jobFromJournalName},
+	scans := []struct{ dir, ext string }{
+		{filepath.Join(j.q.dir, resultsDir), ".json"},
+		{filepath.Join(j.q.dir, eventsDir), ".jsonl"},
 	}
 	for _, s := range scans {
 		entries, err := j.q.fs.ReadDir(s.dir)
@@ -246,14 +184,11 @@ func (j *Janitor) collectOrphans() {
 			continue
 		}
 		for _, e := range entries {
-			if e.IsDir() {
+			job := jobOfFile(e.Name(), s.ext)
+			if e.IsDir() || job == "" {
 				continue
 			}
-			job := s.toJob(e.Name())
-			if job == "" || j.q.Known(job) {
-				continue
-			}
-			if rerr := j.q.fs.Remove(filepath.Join(s.dir, e.Name())); rerr == nil {
+			if j.q.removeOrphan(job, filepath.Join(s.dir, e.Name())) {
 				j.mu.Lock()
 				j.stats.Orphans++
 				j.mu.Unlock()
@@ -268,8 +203,6 @@ func (j *Janitor) collectOrphans() {
 func (j *Janitor) pruneTemps() {
 	dirs := []string{
 		j.q.dir,
-		filepath.Join(j.q.dir, jobsDir),
-		filepath.Join(j.q.dir, ckptDir),
 		filepath.Join(j.q.dir, resultsDir),
 		filepath.Join(j.q.dir, eventsDir),
 	}

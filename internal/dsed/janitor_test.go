@@ -53,7 +53,7 @@ func TestJanitorRetentionCountAndBytes(t *testing.T) {
 	}
 	mustSubmit(t, q, "live") // queued: retention must never touch it
 
-	j := NewJanitor(q, RetentionPolicy{MaxJobs: 1, CompactRecords: -1})
+	j := NewJanitor(q, RetentionPolicy{MaxJobs: 1})
 	j.Sweep()
 
 	if q.Known("old") || q.Known("mid") {
@@ -63,7 +63,7 @@ func TestJanitorRetentionCountAndBytes(t *testing.T) {
 		t.Fatal("sweep removed the newest terminal job or a live job")
 	}
 	for _, id := range []string{"old", "mid"} {
-		for _, path := range []string{q.jobPath(id), q.resultPath(id), filepath.Join(q.dir, eventsDir, id+".jsonl")} {
+		for _, path := range []string{q.journalPath(id), q.resultPath(id)} {
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Fatalf("GC'd job %s left %s behind", id, path)
 			}
@@ -85,7 +85,7 @@ func TestJanitorRetentionCountAndBytes(t *testing.T) {
 	finalizeJob(t, q2, "big", StateDone, 64<<10)
 	mustSubmit(t, q2, "small")
 	finalizeJob(t, q2, "small", StateDone, 512)
-	j2 := NewJanitor(q2, RetentionPolicy{MaxBytes: 8 << 10, CompactRecords: -1})
+	j2 := NewJanitor(q2, RetentionPolicy{MaxBytes: 8 << 10})
 	j2.Sweep()
 	if q2.Known("big") {
 		t.Fatal("byte cap kept the oldest oversized job")
@@ -107,11 +107,11 @@ func TestJanitorRetentionAge(t *testing.T) {
 	mustSubmit(t, q, "fresh")
 	finalizeJob(t, q, "fresh", StateFailed, 0)
 	old := time.Now().Add(-48 * time.Hour)
-	if err := os.Chtimes(q.jobPath("ancient"), old, old); err != nil {
+	if err := os.Chtimes(q.journalPath("ancient"), old, old); err != nil {
 		t.Fatal(err)
 	}
 
-	j := NewJanitor(q, RetentionPolicy{MaxAge: time.Hour, CompactRecords: -1})
+	j := NewJanitor(q, RetentionPolicy{MaxAge: time.Hour})
 	j.Sweep()
 	if q.Known("ancient") {
 		t.Fatal("job past MaxAge survived")
@@ -133,18 +133,16 @@ func TestJanitorOrphansAndTemps(t *testing.T) {
 	mustSubmit(t, q, "owned")
 
 	orphans := []string{
-		filepath.Join(q.dir, ckptDir, "ghost.jsonl"),
 		filepath.Join(q.dir, resultsDir, "ghost.json"),
 		filepath.Join(q.dir, eventsDir, "ghost.jsonl"),
-		filepath.Join(q.dir, eventsDir, "ghost"+snapSuffix),
 	}
 	for _, p := range orphans {
 		if err := os.WriteFile(p, []byte("residue"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	staleTemp := filepath.Join(q.dir, jobsDir, ".x.json.tmp-123")
-	freshTemp := filepath.Join(q.dir, jobsDir, ".y.json.tmp-456")
+	staleTemp := filepath.Join(q.dir, resultsDir, ".x.json.tmp-123")
+	freshTemp := filepath.Join(q.dir, resultsDir, ".y.json.tmp-456")
 	for _, p := range []string{staleTemp, freshTemp} {
 		if err := os.WriteFile(p, []byte("tmp"), 0o644); err != nil {
 			t.Fatal(err)
@@ -155,7 +153,7 @@ func TestJanitorOrphansAndTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j := NewJanitor(q, RetentionPolicy{CompactRecords: -1})
+	j := NewJanitor(q, RetentionPolicy{})
 	j.Sweep()
 
 	for _, p := range orphans {
@@ -169,10 +167,7 @@ func TestJanitorOrphansAndTemps(t *testing.T) {
 	if _, err := os.Stat(freshTemp); err != nil {
 		t.Fatal("fresh temp removed: TempMaxAge ignored")
 	}
-	if _, err := os.Stat(q.jobPath("owned")); err != nil {
-		t.Fatal("known job's record collected as an orphan")
-	}
-	if _, err := os.Stat(filepath.Join(q.dir, eventsDir, "owned.jsonl")); err != nil {
+	if _, err := os.Stat(q.journalPath("owned")); err != nil {
 		t.Fatal("known job's journal collected as an orphan")
 	}
 	st := j.Stats()
@@ -181,51 +176,30 @@ func TestJanitorOrphansAndTemps(t *testing.T) {
 	}
 }
 
-// TestJanitorCompactsLongJournals: a journal past the policy threshold is
-// rewritten as snapshot + tail, shrinking history while preserving the
-// stream for resuming subscribers.
-func TestJanitorCompactsLongJournals(t *testing.T) {
+// TestJanitorKeepsJournalOfDottedID: a job whose ID ends in ".snap" owns
+// events/<id>.jsonl like any other job. The spool once named compaction
+// snapshots <id>.snap.jsonl, so the orphan sweep read job "x.snap"'s
+// journal as the snapshot of unknown job "x" and deleted a live job.
+func TestJanitorKeepsJournalOfDottedID(t *testing.T) {
 	q, err := OpenQueue(t.TempDir(), QueueOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	mustSubmit(t, q, "chatty")
-	for i := 1; i <= 50; i++ {
-		if err := q.events.Emit("chatty", Event{Type: EventProgress, Done: i, Total: 50}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := q.events.RecordCount("chatty")
+	mustSubmit(t, q, "x.snap")
 
-	j := NewJanitor(q, RetentionPolicy{CompactRecords: 10, CompactKeepTail: 4})
+	j := NewJanitor(q, RetentionPolicy{})
 	j.Sweep()
 
-	st := j.Stats()
-	if st.Compacted != 1 || st.CompactDropped == 0 {
-		t.Fatalf("stats: %+v, want one compaction with drops", st)
+	if _, err := os.Stat(q.journalPath("x.snap")); err != nil {
+		t.Fatalf("live job x.snap lost its journal to the orphan sweep: %v", err)
 	}
-	after := q.events.RecordCount("chatty")
-	if after >= before {
-		t.Fatalf("record count %d -> %d: journal did not shrink", before, after)
-	}
-	if _, err := os.Stat(filepath.Join(q.dir, eventsDir, "chatty"+snapSuffix)); err != nil {
-		t.Fatalf("sealed snapshot missing: %v", err)
-	}
-	// The surviving history still ends at the stream's true tail.
-	backlog := mustBacklog(t, q.events, "chatty", 0)
-	last := backlog[len(backlog)-1]
-	if last.Type != EventProgress || last.Done != 50 {
-		t.Fatalf("post-compaction tail: %+v", last)
-	}
-	// A second sweep with nothing to drop must not churn the journal.
-	j.Sweep()
-	if st := j.Stats(); st.Compacted > 2 {
-		t.Fatalf("idle sweeps keep compacting: %+v", st)
+	if st := j.Stats(); st.Orphans != 0 {
+		t.Fatalf("stats: %+v, want no orphans", st)
 	}
 }
 
-// TestCorruptQuarantineCap: recovery sets damaged job records aside as
+// TestCorruptQuarantineCap: recovery sets damaged journals aside as
 // *.corrupt but never hoards them — beyond MaxCorrupt the oldest are
 // evicted, and the recovery report accounts for both.
 func TestCorruptQuarantineCap(t *testing.T) {
@@ -237,10 +211,10 @@ func TestCorruptQuarantineCap(t *testing.T) {
 	mustSubmit(t, q, "good")
 	q.Close()
 
-	jobs := filepath.Join(dir, jobsDir)
+	jobs := filepath.Join(dir, eventsDir)
 	for _, name := range []string{"c1", "c2", "c3", "c4", "c5"} {
-		p := filepath.Join(jobs, name+".json")
-		if err := os.WriteFile(p, []byte("not a job record"), 0o644); err != nil {
+		p := filepath.Join(jobs, name+".jsonl")
+		if err := os.WriteFile(p, []byte("not a journal frame\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,7 +229,7 @@ func TestCorruptQuarantineCap(t *testing.T) {
 		t.Fatalf("recovery report: %+v, want 2 retained / 3 evicted", rep)
 	}
 	if !q2.Known("good") {
-		t.Fatal("healthy record lost during quarantine capping")
+		t.Fatal("healthy journal lost during quarantine capping")
 	}
 	ents, err := os.ReadDir(jobs)
 	if err != nil {

@@ -6,14 +6,15 @@
 // workers, budgets and signal discipline (internal/guard) — into one
 // service whose headline property is robustness:
 //
-//   - The job queue is a durable spool on disk. Every job record is written
-//     atomically (temp+fsync+rename) with a CRC32-Castagnoli checksum, so a
-//     kill -9 at any instant leaves either the previous complete record or
-//     the next complete record, and bit rot is detected at recovery rather
-//     than silently re-animating a damaged job.
-//   - Every running job checkpoints each completed design point to a
-//     per-job JSONL file; restart resumes from the last completed point
-//     with no duplicates and no lost jobs, and the final report is
+//   - Each job's only durable record is its event journal: an append-only
+//     file of CRC32-Castagnoli-framed events, fsynced per event. The first
+//     event carries the job spec, every state transition is an event, and
+//     every completed design point's record rides on a progress event, so
+//     a kill -9 at any instant leaves a valid prefix that recovery folds
+//     back into the job, and bit rot is detected rather than silently
+//     re-animating a damaged job.
+//   - Restart resumes a job by sweeping only the points its journal does
+//     not hold: no duplicates and no lost jobs, and the final report is
 //     byte-identical to an uninterrupted run.
 //   - Admission control bounds the queue depth and per-tenant in-flight
 //     work (429 + Retry-After when saturated), and a heap-budget Governor
@@ -21,7 +22,7 @@
 //   - Concurrent jobs referencing the same trace share one decoded
 //     PreparedTrace through a content-addressed, single-flight cache that
 //     detects in-memory corruption and re-decodes instead of failing jobs.
-//   - SIGTERM drains gracefully: intake stops, in-flight jobs checkpoint,
+//   - SIGTERM drains gracefully: intake stops, in-flight jobs requeue,
 //     the process exits 0; a second signal force-exits with
 //     artifact.ExitForced.
 //   - Every observable job transition — state changes, sweep progress,
@@ -36,7 +37,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"graphdse/internal/artifact"
 	"graphdse/internal/dse"
@@ -49,9 +49,9 @@ import (
 //	   │          │  └───▶ quarantined
 //	   └──────────┴─────▶ cancelled
 //
-// A daemon crash reverses running back to queued at recovery (the per-job
-// checkpoint preserves completed points); every other transition is
-// one-way and persisted atomically before it is visible to clients.
+// A daemon crash reverses running back to queued at recovery (the journal
+// preserves completed points); every other transition is one-way and
+// journaled before it is visible to clients.
 type JobState string
 
 const (
@@ -197,10 +197,9 @@ func (s *JobSpec) Digest() (uint32, error) {
 	return artifact.Checksum(b), nil
 }
 
-// JobRecord is the durable per-job state: the spec plus everything the
-// daemon must remember across a crash. Coarse progress (Done/Total) is
-// persisted on state transitions only; fine-grained progress lives in the
-// per-job checkpoint.
+// JobRecord is the per-job state: the spec plus everything the daemon must
+// remember across a crash. It is never written as such: recovery rebuilds
+// it by folding the job's event journal (see foldJournal).
 type JobRecord struct {
 	Spec  JobSpec  `json:"spec"`
 	State JobState `json:"state"`
@@ -217,68 +216,4 @@ type JobRecord struct {
 	Total       int `json:"total,omitempty"`
 	Survivors   int `json:"survivors,omitempty"`
 	Quarantined int `json:"quarantined,omitempty"`
-}
-
-// jobEnvelope is the on-disk frame of a JobRecord: the marshalled record
-// plus a CRC32-Castagnoli over exactly those bytes. Atomic writes make torn
-// records impossible; the checksum catches the remaining failure mode, bit
-// rot in the spool between runs.
-type jobEnvelope struct {
-	CRC uint32          `json:"crc"`
-	Job json.RawMessage `json:"job"`
-}
-
-// encodeJobRecord frames the record for disk.
-func encodeJobRecord(rec *JobRecord) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	env := jobEnvelope{CRC: artifact.Checksum(body), Job: body}
-	out, err := json.Marshal(&env)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// decodeJobRecord verifies and unmarshals one spooled record. A checksum
-// mismatch or structural damage returns artifact.ErrCorrupt.
-func decodeJobRecord(data []byte) (*JobRecord, error) {
-	var env jobEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("%w: job record frame: %v", artifact.ErrCorrupt, err)
-	}
-	if got := artifact.Checksum(env.Job); got != env.CRC {
-		return nil, fmt.Errorf("%w: job record checksum %08x != %08x", artifact.ErrCorrupt, got, env.CRC)
-	}
-	var rec JobRecord
-	if err := json.Unmarshal(env.Job, &rec); err != nil {
-		return nil, fmt.Errorf("%w: job record body: %v", artifact.ErrCorrupt, err)
-	}
-	if rec.Spec.ID == "" || rec.State == "" {
-		return nil, fmt.Errorf("%w: job record missing id or state", artifact.ErrCorrupt)
-	}
-	return &rec, nil
-}
-
-// writeJobRecord persists the record atomically at path through fsys.
-func writeJobRecord(fsys artifact.FS, path string, rec *JobRecord) error {
-	data, err := encodeJobRecord(rec)
-	if err != nil {
-		return err
-	}
-	return artifact.WriteFileAtomicFS(fsys, path, 0o644, func(w io.Writer) error {
-		_, werr := w.Write(data)
-		return werr
-	})
-}
-
-// readJobRecord loads and verifies one spooled record through fsys.
-func readJobRecord(fsys artifact.FS, path string) (*JobRecord, error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeJobRecord(data)
 }

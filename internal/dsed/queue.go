@@ -1,12 +1,14 @@
 package dsed
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -36,10 +38,9 @@ var (
 	ErrNotCancellable = errors.New("dsed: job already terminal")
 )
 
-// Spool layout under the queue directory.
+// Spool layout under the queue directory: each job's event journal (its
+// only durable record) and its sealed result.
 const (
-	jobsDir    = "jobs"
-	ckptDir    = "ckpt"
 	resultsDir = "results"
 	eventsDir  = "events"
 )
@@ -52,17 +53,17 @@ type RecoveryReport struct {
 	// Requeued counts queued jobs put back on the run queue.
 	Requeued int
 	// Resumed counts jobs found running (the daemon died under them) and
-	// re-enqueued to resume from their checkpoint.
+	// re-enqueued to resume from the points their journal holds.
 	Resumed int
 	// Adopted counts jobs found running whose complete result file already
-	// existed: the crash landed between result commit and record update,
+	// existed: the crash landed between result seal and terminal event,
 	// and recovery finalizes them as done without re-running anything.
 	Adopted int
-	// Corrupt counts spool records that failed their checksum; the damaged
-	// files are set aside with a .corrupt suffix and the jobs reported
-	// lost rather than silently re-animated.
+	// Corrupt counts journals whose first frame failed its checksum; the
+	// damaged files are set aside with a .corrupt suffix and the jobs
+	// reported lost rather than silently re-animated.
 	Corrupt int
-	// CorruptFiles names the set-aside records.
+	// CorruptFiles names the set-aside journals.
 	CorruptFiles []string
 	// CorruptRetained/CorruptEvicted account for the quarantine cap: the
 	// newest MaxCorrupt set-aside files are kept for forensics, anything
@@ -74,7 +75,7 @@ type RecoveryReport struct {
 
 // String renders the report as one log line.
 func (r *RecoveryReport) String() string {
-	return fmt.Sprintf("recovery: %d terminal, %d requeued, %d resumed from checkpoint, %d adopted from result, %d corrupt",
+	return fmt.Sprintf("recovery: %d terminal, %d requeued, %d resumed from journal, %d adopted from result, %d corrupt",
 		r.Terminal, r.Requeued, r.Resumed, r.Adopted, r.Corrupt)
 }
 
@@ -89,9 +90,9 @@ type QueueOptions struct {
 	// that falls a full buffer behind is evicted rather than ever blocking
 	// the queue or scheduler (default 64).
 	EventBuffer int
-	// MaxCorrupt caps the .corrupt quarantine in the jobs directory: beyond
-	// this many set-aside records, the oldest are evicted at recovery
-	// (default 16).
+	// MaxCorrupt caps the .corrupt quarantine in the events directory:
+	// beyond this many set-aside journals, the oldest are evicted at
+	// recovery (default 16).
 	MaxCorrupt int
 	// FS is the filesystem every spool read and write goes through (nil =
 	// the real filesystem). Chaos tests inject ENOSPC/EIO/torn renames here.
@@ -114,22 +115,21 @@ func (o *QueueOptions) fill() {
 }
 
 // Queue is the durable job queue: an in-memory index over a spool of
-// checksummed, atomically-written job records. Every state transition is
-// persisted before it becomes visible, so the in-memory view can always be
-// rebuilt from disk — Open does exactly that.
+// per-job event journals. Every state transition is journaled before it
+// becomes visible, so the in-memory view can always be rebuilt from disk —
+// Open does exactly that, by folding each journal.
 type Queue struct {
 	dir  string
 	opts QueueOptions
 	fs   artifact.FS
 
 	// disk, when attached, gates admission on spool health and observes
-	// every record persist (see DiskGovernor). Attach before serving.
+	// every journal append (see DiskGovernor). Attach before serving.
 	disk *DiskGovernor
 
-	// events journals every observable transition before it becomes
-	// observable (see EventLog). Emissions under q.mu keep journal order
-	// identical to state-transition order; EventLog never calls back into
-	// the queue, so the lock order is safe.
+	// events is the durable record of every job (see EventLog). Emissions
+	// under q.mu keep journal order identical to state-transition order;
+	// EventLog never calls back into the queue, so the lock order is safe.
 	events *EventLog
 
 	mu sync.Mutex
@@ -150,10 +150,16 @@ type Queue struct {
 // OpenQueue opens (creating if needed) the spool at dir and recovers its
 // state: terminal jobs are indexed, queued jobs re-enter the run queue in
 // submission order, and jobs left running by a crash are either adopted (a
-// complete result exists) or re-enqueued to resume from their checkpoint.
+// complete result exists) or re-enqueued to resume from their journal.
 func OpenQueue(dir string, opts QueueOptions) (*Queue, error) {
 	opts.fill()
-	for _, sub := range []string{jobsDir, ckptDir, resultsDir, eventsDir} {
+	// A spool from before journals carried their jobs' specs keeps its job
+	// records in jobs/. Its journals cannot be folded, and recovering them
+	// would quarantine — and past -max-corrupt, delete — every one.
+	if _, err := opts.FS.Stat(filepath.Join(dir, "jobs")); err == nil {
+		return nil, fmt.Errorf("dsed: spool %s has the retired jobs/ layout; drain it with the daemon that wrote it or use a new -dir", dir)
+	}
+	for _, sub := range []string{resultsDir, eventsDir} {
 		if err := opts.FS.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("dsed: spool: %w", err)
 		}
@@ -179,8 +185,8 @@ func (q *Queue) Events() *EventLog { return q.events }
 func (q *Queue) FS() artifact.FS { return q.fs }
 
 // AttachDisk wires the disk governor into the queue's persistence paths:
-// admission is gated on spool health and every durable write (job records
-// and event-journal appends) reports its outcome. Attach before serving.
+// admission is gated on spool health and every journal append reports its
+// outcome. Attach before serving.
 func (q *Queue) AttachDisk(g *DiskGovernor) {
 	q.disk = g
 	if g != nil {
@@ -191,16 +197,6 @@ func (q *Queue) AttachDisk(g *DiskGovernor) {
 // Disk returns the attached governor (nil when none).
 func (q *Queue) Disk() *DiskGovernor { return q.disk }
 
-// persist writes one job record through the seam, feeding the outcome to
-// the disk governor.
-func (q *Queue) persist(path string, rec *JobRecord) error {
-	err := writeJobRecord(q.fs, path, rec)
-	if q.disk != nil {
-		q.disk.ObserveWrite(err)
-	}
-	return err
-}
-
 // Close releases the event log's journal handles. The queue itself holds no
 // other open files.
 func (q *Queue) Close() { q.events.Close() }
@@ -208,37 +204,73 @@ func (q *Queue) Close() { q.events.Close() }
 // Dir returns the spool root.
 func (q *Queue) Dir() string { return q.dir }
 
-// jobPath/ckptPath/resultPath name a job's spool files. IDs are validated
+// journalPath/resultPath name a job's two spool files. IDs are validated
 // at admission (safeID), so they cannot traverse outside the spool.
-func (q *Queue) jobPath(id string) string    { return filepath.Join(q.dir, jobsDir, id+".json") }
-func (q *Queue) ckptPath(id string) string   { return filepath.Join(q.dir, ckptDir, id+".jsonl") }
-func (q *Queue) resultPath(id string) string { return filepath.Join(q.dir, resultsDir, id+".json") }
+func (q *Queue) journalPath(id string) string { return q.events.path(id) }
+func (q *Queue) resultPath(id string) string  { return filepath.Join(q.dir, resultsDir, id+".json") }
 
-// recover rebuilds the in-memory index from the spool. It runs inside
-// OpenQueue before the queue is shared, but takes q.mu anyway: the guarded
-// fields it populates are locked on every other path, and a startup-only
-// exemption is exactly the kind of convention that rots.
+// foldJournal rebuilds a job's record from its journal: the first event
+// must be the queued state carrying the spec, and every later state and
+// progress event updates the record in order. It returns nil when the
+// journal does not open with a readable submission.
+func foldJournal(id string, evs []Event) *JobRecord {
+	if len(evs) == 0 || evs[0].Type != EventState || evs[0].State != StateQueued ||
+		evs[0].Spec == nil || evs[0].Spec.ID != id {
+		return nil
+	}
+	digest, err := evs[0].Spec.Digest()
+	if err != nil {
+		return nil
+	}
+	rec := &JobRecord{Spec: *evs[0].Spec, SpecDigest: digest, SubmitSeq: evs[0].SubmitSeq}
+	for i := range evs {
+		switch ev := &evs[i]; ev.Type {
+		case EventState:
+			rec.State, rec.Attempt, rec.Error = ev.State, ev.Attempt, ev.Error
+			rec.Survivors, rec.Quarantined = ev.Survivors, ev.Quarantined
+		case EventProgress:
+			rec.Done, rec.Total = ev.Done, ev.Total
+		}
+	}
+	return rec
+}
+
+// recover rebuilds the in-memory index by folding every job's journal. It
+// runs inside OpenQueue before the queue is shared, but takes q.mu anyway:
+// the guarded fields it populates are locked on every other path, and a
+// startup-only exemption is exactly the kind of convention that rots.
 func (q *Queue) recover() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	rep := &RecoveryReport{}
-	entries, err := q.fs.ReadDir(filepath.Join(q.dir, jobsDir))
+	dir := filepath.Join(q.dir, eventsDir)
+	entries, err := q.fs.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("dsed: recover: %w", err)
 	}
 	var requeue []*JobRecord
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
+		id := jobOfFile(e.Name(), ".jsonl")
+		if e.IsDir() || id == "" {
 			continue
 		}
-		path := filepath.Join(q.dir, jobsDir, name)
-		rec, rerr := readJobRecord(q.fs, path)
+		path := filepath.Join(dir, e.Name())
+		data, rerr := q.fs.ReadFile(path)
 		if rerr != nil {
-			// A record that fails its checksum is set aside, not deleted:
-			// the operator decides. The job counts as lost here — the one
-			// failure mode atomic writes cannot absorb is rot while the
-			// daemon was down.
+			return fmt.Errorf("dsed: recover: %w", rerr)
+		}
+		evs, _ := scanJournalBytes(data)
+		rec := foldJournal(id, evs)
+		if rec == nil {
+			if !bytes.Contains(data, []byte("\n")) {
+				// No complete first frame: the submission crashed before its
+				// queued event was durable, so it was never acknowledged.
+				_ = q.fs.Remove(path)
+				continue
+			}
+			// A complete first frame that fails its checksum is rot while
+			// the daemon was down. The journal is set aside, not deleted:
+			// the operator decides.
 			rep.Corrupt++
 			aside := path + ".corrupt"
 			if mvErr := q.fs.Rename(path, aside); mvErr == nil {
@@ -253,21 +285,20 @@ func (q *Queue) recover() error {
 		case rec.State.Terminal():
 			rep.Terminal++
 		case rec.State == StateRunning:
-			// The daemon died mid-job. If its complete result already
-			// committed, the crash landed in the tiny window between result
-			// write and record update: adopt it. Otherwise resume from the
-			// checkpoint.
-			if q.resultComplete(rec.Spec.ID) {
-				rec.State = StateDone
-				rec.Error = ""
-				if werr := writeJobRecord(q.fs, path, rec); werr != nil {
-					return fmt.Errorf("dsed: recover adopt %s: %w", rec.Spec.ID, werr)
+			// The daemon died mid-job. If its result is already sealed, the
+			// crash landed between the seal and the terminal event: adopt
+			// it, journaling the seal only if that append was lost too.
+			// Otherwise resume from the points the journal holds.
+			if res, ok := q.sealedResult(id); ok {
+				sealed := evs[len(evs)-1].Type == EventSeal
+				if ferr := q.finalizeLocked(rec, StateDone, "", res.Survivors, res.Quarantined, !sealed); ferr != nil {
+					return fmt.Errorf("dsed: recover adopt %s: %w", id, ferr)
 				}
 				rep.Adopted++
 			} else {
 				rec.State = StateQueued
-				if werr := writeJobRecord(q.fs, path, rec); werr != nil {
-					return fmt.Errorf("dsed: recover requeue %s: %w", rec.Spec.ID, werr)
+				if eerr := q.events.Emit(id, Event{Type: EventState, State: StateQueued, Attempt: rec.Attempt}); eerr != nil {
+					return fmt.Errorf("dsed: recover requeue %s: %w", id, eerr)
 				}
 				requeue = append(requeue, rec)
 				rep.Resumed++
@@ -276,7 +307,7 @@ func (q *Queue) recover() error {
 			requeue = append(requeue, rec)
 			rep.Requeued++
 		}
-		q.jobs[rec.Spec.ID] = rec
+		q.jobs[id] = rec
 	}
 	// CorruptFiles feeds the canonical /statusz payload: sort it so the
 	// report's bytes never depend on the FS seam's ReadDir ordering
@@ -287,20 +318,6 @@ func (q *Queue) recover() error {
 	for _, rec := range requeue {
 		q.pending = append(q.pending, rec.Spec.ID)
 	}
-	// Reconcile each job's event journal with its authoritative record: a
-	// crash can land between a record write and the matching journal append,
-	// leaving the journal one transition behind. EnsureState appends the
-	// missing transition idempotently, so a resumed stream always converges
-	// on the recovered state.
-	for _, rec := range q.jobs {
-		_ = q.events.EnsureState(rec.Spec.ID, Event{
-			State:       rec.State,
-			Attempt:     rec.Attempt,
-			Error:       rec.Error,
-			Survivors:   rec.Survivors,
-			Quarantined: rec.Quarantined,
-		})
-	}
 	q.recovery = rep
 	return nil
 }
@@ -310,7 +327,7 @@ func (q *Queue) recover() error {
 // exists for forensics; a disk that rots records on every restart must not
 // be able to grow it without bound.
 func (q *Queue) capCorrupt() (retained, evicted int) {
-	dir := filepath.Join(q.dir, jobsDir)
+	dir := filepath.Join(q.dir, eventsDir)
 	entries, err := q.fs.ReadDir(dir)
 	if err != nil {
 		return 0, 0
@@ -344,15 +361,28 @@ func (q *Queue) capCorrupt() (retained, evicted int) {
 // stream degrades observability, never the job.
 func (q *Queue) emit(id string, ev Event) { _ = q.events.Emit(id, ev) }
 
-// resultComplete reports whether a structurally-valid result file exists
-// for the job.
-func (q *Queue) resultComplete(id string) bool {
-	data, err := q.fs.ReadFile(q.resultPath(id))
-	if err != nil {
-		return false
-	}
+// sealedResult returns the job's result document when a structurally-valid
+// sealed one exists.
+func (q *Queue) sealedResult(id string) (JobResult, bool) {
 	var res JobResult
-	return json.Unmarshal(data, &res) == nil && res.ID == id && res.Sealed
+	data, err := q.fs.ReadFile(q.resultPath(id))
+	if err != nil || json.Unmarshal(data, &res) != nil {
+		return JobResult{}, false
+	}
+	return res, res.ID == id && res.Sealed
+}
+
+// writeResult seals a job's result document (temp + fsync + rename — the
+// one spool write that renames), feeding the outcome to the disk governor.
+func (q *Queue) writeResult(id string, data []byte) error {
+	err := artifact.WriteFileAtomicFS(q.fs, q.resultPath(id), 0o644, func(w io.Writer) error {
+		_, werr := w.Write(data)
+		return werr
+	})
+	if q.disk != nil {
+		q.disk.ObserveWrite(err)
+	}
+	return err
 }
 
 // Recovery returns the report of the Open-time recovery pass.
@@ -396,7 +426,7 @@ func safeID(id string) bool {
 }
 
 // Submit admits one job: validates the spec, applies admission control
-// (queue depth, tenant cap, draining), persists the record atomically, and
+// (queue depth, tenant cap, draining), journals the job's first event, and
 // only then makes it runnable. existing is true when the same (ID, spec)
 // was already known — the idempotent path.
 func (q *Queue) Submit(spec JobSpec) (rec JobRecord, existing bool, err error) {
@@ -417,7 +447,23 @@ func (q *Queue) Submit(spec JobSpec) (rec JobRecord, existing bool, err error) {
 	if err != nil {
 		return JobRecord{}, false, err
 	}
+	rec, existing, err = q.admit(spec, digest)
+	if err == nil && !existing {
+		// The new journal's name must survive a power cut too before the
+		// client is acknowledged. The directory fsync runs after q.mu is
+		// released — no queue operation waits on it — so another reader
+		// may see the job a moment before its name is durable; a crash in
+		// that window loses only a job nobody was promised.
+		_ = q.fs.SyncDir(filepath.Join(q.dir, eventsDir))
+	}
+	return rec, existing, err
+}
 
+// admit is Submit's critical section: admission control, the journal's
+// first event, and indexing, all under one q.mu hold — the janitor's
+// orphan test takes the same lock, so it never sees a journal whose job is
+// not yet indexed.
+func (q *Queue) admit(spec JobSpec, digest uint32) (JobRecord, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if prior, ok := q.jobs[spec.ID]; ok {
@@ -431,7 +477,7 @@ func (q *Queue) Submit(spec JobSpec) (rec JobRecord, existing bool, err error) {
 	}
 	if q.disk != nil {
 		// Spool health gates admission after idempotent re-submission (a
-		// known job's record is already durable — re-reporting it needs no
+		// known job's journal is already durable — re-reporting it needs no
 		// writes) but before capacity checks, so a degraded daemon sheds
 		// load with the storage-specific status instead of a generic 429.
 		if derr := q.disk.Admit(); derr != nil {
@@ -452,17 +498,20 @@ func (q *Queue) Submit(spec JobSpec) (rec JobRecord, existing bool, err error) {
 		SubmitSeq:  q.seq,
 	}
 	q.seq++
-	// Durability before visibility: the record reaches disk before the job
-	// can run or be reported. A crash right here leaves a queued record
-	// that recovery re-enqueues — the job is never lost.
-	if err := q.persist(q.jobPath(spec.ID), newRec); err != nil {
+	// Durability before visibility: the queued event, carrying the spec,
+	// reaches disk before the job can run or be reported. A crash right
+	// here leaves a journal that recovery re-enqueues — the job is never
+	// lost. A failed append leaves no journal behind, so a job the client
+	// was told failed never resurfaces.
+	if err := q.events.Emit(spec.ID, Event{Type: EventState, State: StateQueued, Spec: &spec, SubmitSeq: newRec.SubmitSeq}); err != nil {
+		q.events.DropStream(spec.ID)
+		_ = q.fs.Remove(q.journalPath(spec.ID))
 		return JobRecord{}, false, fmt.Errorf("dsed: persist job %s: %w", spec.ID, err)
 	}
 	q.jobs[spec.ID] = newRec
 	q.pending = append(q.pending, spec.ID)
 	close(q.notify)
 	q.notify = make(chan struct{})
-	q.emit(spec.ID, Event{Type: EventState, State: StateQueued})
 	return *newRec, false, nil
 }
 
@@ -488,11 +537,10 @@ func (q *Queue) Next(ctx context.Context) (JobRecord, error) {
 			rec := q.jobs[id]
 			rec.State = StateRunning
 			rec.Attempt++
-			// Best-effort persistence: if this write fails the job still
-			// runs — a crash would recover it as queued and resume from
-			// the checkpoint, costing duplicate scheduling, never
-			// duplicate completed points.
-			_ = q.persist(q.jobPath(id), rec)
+			// Best-effort: if this append fails the job still runs — a
+			// crash would recover it as queued and resume from its
+			// journal, costing duplicate scheduling, never duplicate
+			// completed points.
 			q.emit(id, Event{Type: EventState, State: StateRunning, Attempt: rec.Attempt})
 			out := *rec
 			q.mu.Unlock()
@@ -508,9 +556,11 @@ func (q *Queue) Next(ctx context.Context) (JobRecord, error) {
 	}
 }
 
-// Progress updates a running job's coarse counters in memory (the per-job
-// checkpoint is the durable fine-grained progress).
-func (q *Queue) Progress(id string, done, total int) {
+// Progress updates a running job's counters and journals them, together
+// with the canonical record of the point that just completed (nil when none
+// did). The append is best-effort: a lost record only means that point
+// re-runs on resume.
+func (q *Queue) Progress(id string, done, total int, record []byte) {
 	q.mu.Lock()
 	rec, ok := q.jobs[id]
 	running := ok && rec.State == StateRunning
@@ -523,13 +573,13 @@ func (q *Queue) Progress(id string, done, total int) {
 	// transition is safe because Finalize runs strictly after the sweep —
 	// and therefore after every Progress call — completes.
 	if running {
-		q.emit(id, Event{Type: EventProgress, Done: done, Total: total})
+		q.emit(id, Event{Type: EventProgress, Done: done, Total: total, Record: record})
 	}
 }
 
-// Finalize moves a job to a terminal state and persists it. For StateDone
-// the caller must have committed the result file first — recovery depends
-// on that ordering.
+// Finalize moves a job to a terminal state and journals it. For StateDone
+// the caller must have sealed the result file first — recovery depends on
+// that ordering.
 func (q *Queue) Finalize(id string, state JobState, errMsg string, survivors, quarantined int) error {
 	if !state.Terminal() {
 		return fmt.Errorf("dsed: finalize %s to non-terminal state %q", id, state)
@@ -540,20 +590,26 @@ func (q *Queue) Finalize(id string, state JobState, errMsg string, survivors, qu
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
+	if err := q.finalizeLocked(rec, state, errMsg, survivors, quarantined, state == StateDone); err != nil {
+		return fmt.Errorf("dsed: persist finalize %s: %w", id, err)
+	}
+	return nil
+}
+
+// finalizeLocked applies a terminal transition and journals it, preceded
+// by a seal event when seal is set: by the time a client sees "done", the
+// sealed report the query endpoints serve from is already committed. The
+// seal append is best-effort; the terminal append's error is returned.
+// Caller holds q.mu.
+func (q *Queue) finalizeLocked(rec *JobRecord, state JobState, errMsg string, survivors, quarantined int, seal bool) error {
 	rec.State = state
 	rec.Error = errMsg
 	rec.Survivors = survivors
 	rec.Quarantined = quarantined
-	if err := q.persist(q.jobPath(id), rec); err != nil {
-		return fmt.Errorf("dsed: persist finalize %s: %w", id, err)
+	if seal {
+		q.emit(rec.Spec.ID, Event{Type: EventSeal, Survivors: survivors, Quarantined: quarantined})
 	}
-	// Seal precedes the terminal state event, mirroring the result-file
-	// ordering on disk: by the time a client sees "done", the sealed report
-	// the query endpoints serve from is already committed.
-	if state == StateDone {
-		q.emit(id, Event{Type: EventSeal, Survivors: survivors, Quarantined: quarantined})
-	}
-	q.emit(id, Event{
+	return q.events.Emit(rec.Spec.ID, Event{
 		Type:        EventState,
 		State:       state,
 		Attempt:     rec.Attempt,
@@ -561,12 +617,11 @@ func (q *Queue) Finalize(id string, state JobState, errMsg string, survivors, qu
 		Survivors:   survivors,
 		Quarantined: quarantined,
 	})
-	return nil
 }
 
 // Requeue returns a running job to the queued state without counting the
 // attempt against it — the drain path for jobs interrupted by shutdown, so
-// the next daemon resumes them from their checkpoint.
+// the next daemon resumes them from their journal.
 func (q *Queue) Requeue(id string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -578,13 +633,12 @@ func (q *Queue) Requeue(id string) error {
 		return nil
 	}
 	rec.State = StateQueued
-	if err := q.persist(q.jobPath(id), rec); err != nil {
-		return fmt.Errorf("dsed: persist requeue %s: %w", id, err)
-	}
 	q.pending = append(q.pending, id)
 	close(q.notify)
 	q.notify = make(chan struct{})
-	q.emit(id, Event{Type: EventState, State: StateQueued, Attempt: rec.Attempt})
+	if err := q.events.Emit(id, Event{Type: EventState, State: StateQueued, Attempt: rec.Attempt}); err != nil {
+		return fmt.Errorf("dsed: persist requeue %s: %w", id, err)
+	}
 	return nil
 }
 
@@ -610,10 +664,9 @@ func (q *Queue) CancelQueued(id string) (wasRunning bool, err error) {
 			}
 		}
 		rec.State = StateCancelled
-		if werr := q.persist(q.jobPath(id), rec); werr != nil {
-			return false, fmt.Errorf("dsed: persist cancel %s: %w", id, werr)
+		if err := q.events.Emit(id, Event{Type: EventState, State: StateCancelled, Attempt: rec.Attempt}); err != nil {
+			return false, fmt.Errorf("dsed: persist cancel %s: %w", id, err)
 		}
-		q.emit(id, Event{Type: EventState, State: StateCancelled, Attempt: rec.Attempt})
 		return false, nil
 	default:
 		return false, fmt.Errorf("%w: %s is %s", ErrNotCancellable, id, rec.State)
@@ -646,22 +699,10 @@ func (q *Queue) List() []JobRecord {
 // ErrNotTerminal reports a GC attempt on a job that is still live.
 var ErrNotTerminal = errors.New("dsed: job not terminal")
 
-// jobFiles lists every spool file attributable to one job, in safe
-// deletion order: the job record (the tombstone — once it is gone the job
-// no longer exists, so recovery can never re-animate it from the
-// leftovers) first, then checkpoint, then event journal and snapshot, and
-// the sealed result artifact last. A crash anywhere mid-GC leaves only
-// recordless orphans, which the janitor's orphan sweep collects.
-func (q *Queue) jobFiles(id string) []string {
-	files := []string{q.jobPath(id), q.ckptPath(id)}
-	files = append(files, q.events.journalFiles(id)...)
-	return append(files, q.resultPath(id))
-}
-
 // JobBytes sums the on-disk footprint of one job's spool files.
 func (q *Queue) JobBytes(id string) int64 {
 	var total int64
-	for _, path := range q.jobFiles(id) {
+	for _, path := range []string{q.journalPath(id), q.resultPath(id)} {
 		if info, err := q.fs.Stat(path); err == nil {
 			total += info.Size()
 		}
@@ -669,47 +710,51 @@ func (q *Queue) JobBytes(id string) int64 {
 	return total
 }
 
-// GCJob removes a terminal job from the spool and the index: tombstone
-// first, artifact last (see jobFiles), with the in-memory event stream
-// dropped between record and journal deletion so no handle keeps a deleted
-// file alive. Live jobs are refused. Returns the bytes freed.
+// GCJob removes a terminal job from the spool and the index. The journal
+// is the job's record, so it goes first, together with the index entry and
+// the in-memory stream (no handle keeps a deleted file alive): once it is
+// gone recovery can never re-animate the job, and a crash before the
+// result is removed leaves only an orphan the janitor collects. Live jobs
+// are refused. Returns the bytes freed.
 func (q *Queue) GCJob(id string) (int64, error) {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	rec, ok := q.jobs[id]
 	if !ok {
-		q.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
 	if !rec.State.Terminal() {
-		q.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s is %s", ErrNotTerminal, id, rec.State)
 	}
-	// Tombstone under the lock: record file and index entry go together,
-	// so no reader can observe a job whose record is gone.
 	freed := q.JobBytes(id)
-	if err := q.fs.Remove(q.jobPath(id)); err != nil {
-		q.mu.Unlock()
+	q.events.DropStream(id)
+	if err := q.fs.Remove(q.journalPath(id)); err != nil {
 		return 0, fmt.Errorf("dsed: gc %s: %w", id, err)
 	}
 	delete(q.jobs, id)
-	q.mu.Unlock()
-
-	q.events.DropStream(id)
-	_ = q.fs.Remove(q.ckptPath(id))
-	for _, path := range q.events.journalFiles(id) {
-		_ = q.fs.Remove(path)
-	}
 	_ = q.fs.Remove(q.resultPath(id))
 	return freed, nil
 }
 
-// Known reports whether the queue currently indexes the job (the janitor's
-// orphan test, taken at removal time to stay race-free against Submit).
+// Known reports whether the queue currently indexes the job.
 func (q *Queue) Known(id string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	_, ok := q.jobs[id]
 	return ok
+}
+
+// removeOrphan deletes path, a spool file of job, unless the queue indexes
+// job — the janitor's orphan test. Check and removal share one q.mu
+// section, as Submit's journal creation and indexing do, so a racing
+// submission can never lose its journal. Reports whether path was removed.
+func (q *Queue) removeOrphan(job, path string) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if _, ok := q.jobs[job]; ok {
+		return false
+	}
+	return q.fs.Remove(path) == nil
 }
 
 // Depth returns the current queued and running counts.

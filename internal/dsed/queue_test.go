@@ -1,11 +1,13 @@
 package dsed
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,24 +24,65 @@ func workloadSpec(id, tenant string) JobSpec {
 	}
 }
 
-func TestJobRecordRoundTripAndCorruption(t *testing.T) {
-	rec := &JobRecord{Spec: workloadSpec("j1", "acme"), State: StateQueued, SubmitSeq: 3}
-	data, err := encodeJobRecord(rec)
+// rotFirstFrame flips one byte inside the first frame of a job's journal,
+// the way bit rot while the daemon is down would.
+func rotFirstFrame(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeJobRecord(data)
-	if err != nil {
+	// ^0x01 never turns a JSON byte into a newline, so the frame stays
+	// terminated and the damage is rot, not a torn append.
+	data[bytes.IndexByte(data, '\n')/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got.Spec.ID != "j1" || got.State != StateQueued || got.SubmitSeq != 3 {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
+}
 
-	// Any flipped byte in the body must trip the checksum.
-	bad := []byte(strings.Replace(string(data), `"acme"`, `"ACME"`, 1))
-	if _, err := decodeJobRecord(bad); !errors.Is(err, artifact.ErrCorrupt) {
-		t.Fatalf("tampered record: got %v, want ErrCorrupt", err)
+// TestJobRecordRoundTripAndCorruption: the record recovery folds from a
+// job's journal equals the one Submit returned, and a flipped byte in the
+// journal's first frame is detected.
+func TestJobRecordRoundTripAndCorruption(t *testing.T) {
+	dir := t.TempDir()
+	q, err := OpenQueue(dir, QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workloadSpec("j1", "acme")
+	spec.Space = smallSpace()
+	spec.FailureRate = 0.1
+	for _, id := range []string{"j0", "j2"} {
+		mustSubmit(t, q, id)
+	}
+	want, _, err := q.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Close()
+
+	q2, err := OpenQueue(dir, QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := q2.Get("j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+	q2.Close()
+
+	// Any flipped byte in the first frame must trip the checksum.
+	evs, _ := scanJournal(artifact.OS, q2.journalPath("j1"))
+	line, err := encodeEvent(&evs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []byte(strings.Replace(string(line), `"acme"`, `"ACME"`, 1))
+	if _, err := decodeEvent(bad[:len(bad)-1]); !errors.Is(err, artifact.ErrCorrupt) {
+		t.Fatalf("tampered frame: got %v, want ErrCorrupt", err)
 	}
 }
 
@@ -229,7 +272,7 @@ func TestRecoveryRequeuesAndResumes(t *testing.T) {
 }
 
 // TestRecoveryAdoptsSealedResult covers the crash window between result
-// commit and record update: recovery must finalize the job as done without
+// seal and terminal event: recovery must finalize the job as done without
 // re-running anything.
 func TestRecoveryAdoptsSealedResult(t *testing.T) {
 	dir := t.TempDir()
@@ -289,8 +332,8 @@ func TestRecoveryAdoptsSealedResult(t *testing.T) {
 	}
 }
 
-// TestRecoverySetsAsideCorruptRecords: a record failing its checksum is
-// renamed aside, reported, and never re-animated.
+// TestRecoverySetsAsideCorruptRecords: a journal whose first frame fails
+// its checksum is renamed aside, reported, and never re-animated.
 func TestRecoverySetsAsideCorruptRecords(t *testing.T) {
 	dir := t.TempDir()
 	q, err := OpenQueue(dir, QueueOptions{})
@@ -303,16 +346,8 @@ func TestRecoverySetsAsideCorruptRecords(t *testing.T) {
 	if _, _, err := q.Submit(workloadSpec("rotten", "")); err != nil {
 		t.Fatal(err)
 	}
-	// Rot one byte inside the framed body.
-	path := q.jobPath("rotten")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	q.Close()
+	rotFirstFrame(t, q.journalPath("rotten"))
 
 	q2, err := OpenQueue(dir, QueueOptions{})
 	if err != nil {
@@ -335,8 +370,8 @@ func TestRecoverySetsAsideCorruptRecords(t *testing.T) {
 	if _, err := q2.Get("healthy"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, jobsDir, "rotten.json")); !os.IsNotExist(err) {
-		t.Fatal("corrupt record left in place")
+	if _, err := os.Stat(filepath.Join(dir, eventsDir, "rotten.jsonl")); !os.IsNotExist(err) {
+		t.Fatal("corrupt journal left in place")
 	}
 }
 
@@ -360,12 +395,25 @@ func TestRequeuePreservesAttempt(t *testing.T) {
 	if err := q.Requeue("r1"); err != nil {
 		t.Fatal(err)
 	}
-	onDisk, err := readJobRecord(artifact.OS, q.jobPath("r1"))
-	if err != nil || onDisk.State != StateQueued {
-		t.Fatalf("requeue not durable: %+v err=%v", onDisk, err)
+	onDisk := foldJournal("r1", q.events.History("r1"))
+	if onDisk == nil || onDisk.State != StateQueued || onDisk.Attempt != 1 {
+		t.Fatalf("requeue not durable: %+v", onDisk)
 	}
 	rec2, err := q.Next(ctx)
 	if err != nil || rec2.Spec.ID != "r1" || rec2.Attempt != 2 {
 		t.Fatalf("requeued job: %+v err=%v", rec2, err)
+	}
+}
+
+// TestOpenRefusesRetiredSpoolLayout: a spool whose job records live in
+// jobs/ cannot be folded from its journals; opening it must fail rather
+// than quarantine every journal.
+func TestOpenRefusesRetiredSpoolLayout(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenQueue(dir, QueueOptions{}); err == nil || !strings.Contains(err.Error(), "jobs/") {
+		t.Fatalf("OpenQueue over a jobs/ spool: %v, want a layout error", err)
 	}
 }

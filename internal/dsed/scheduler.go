@@ -11,9 +11,9 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"graphdse/internal/artifact"
 	"graphdse/internal/dse"
 	"graphdse/internal/guard"
 	"graphdse/internal/memsim"
@@ -49,7 +49,7 @@ func (o *SchedulerOptions) fill() {
 }
 
 // Scheduler drives the worker fleet: each worker pulls jobs from the queue
-// and runs them supervised — per-job contexts and deadlines, checkpointed
+// and runs them supervised — per-job contexts and deadlines, journaled
 // sweeps, the physical-invariant gate, and governed parallelism.
 type Scheduler struct {
 	q     *Queue
@@ -77,7 +77,7 @@ func NewScheduler(q *Queue, cache *TraceCache, gov *guard.Governor, opts Schedul
 
 // Run blocks, running jobs until ctx is cancelled, then waits for the fleet
 // to drain. Jobs interrupted by the shutdown are requeued on disk so the
-// next daemon resumes them from their checkpoints.
+// next daemon resumes them from their journals.
 func (s *Scheduler) Run(ctx context.Context) {
 	workers := s.opts.JobWorkers
 	if s.gov != nil {
@@ -118,10 +118,6 @@ func (s *Scheduler) Cancel(id string) error {
 	return nil
 }
 
-// testHookJobPoint, when non-nil, runs after every completed design point —
-// the crash tests use it to pace sweeps so a kill lands mid-run.
-var testHookJobPoint func()
-
 // runJob drives one job to a terminal record (or leaves it running on disk
 // when the daemon itself is shutting down).
 func (s *Scheduler) runJob(parent context.Context, rec JobRecord) {
@@ -152,7 +148,7 @@ func (s *Scheduler) runJob(parent context.Context, rec JobRecord) {
 		if err := s.q.Requeue(id); err != nil {
 			s.opts.Logf("dsed: job %s requeue: %v", id, err)
 		}
-		s.opts.Logf("dsed: job %s interrupted by drain; checkpointed for resume", id)
+		s.opts.Logf("dsed: job %s interrupted by drain; journaled for resume", id)
 		return
 	}
 	if err := s.q.Finalize(id, state, errMsg, survivors, quarantined); err != nil {
@@ -183,71 +179,62 @@ func (s *Scheduler) executeJob(ctx context.Context, rec *JobRecord) (state JobSt
 		space = *rec.Spec.Space
 	}
 	points := dse.EnumerateSpace(space)
-	s.q.Progress(id, 0, len(points))
+	// Resume: every point record the journal holds is final, so only the
+	// missing points are swept. On a first run that is all of them.
+	have, err := s.journaledRecords(id, points)
+	if err != nil {
+		return StateFailed, fmt.Sprintf("journal: %v", err), 0, 0
+	}
+	records := make([]dse.RunRecord, len(points))
+	var missing []dse.DesignPoint
+	var slots []int // slots[k] is missing[k]'s index in points
+	for i, p := range points {
+		if r, ok := have[p.ID()]; ok {
+			records[i] = r
+		} else {
+			missing = append(missing, p)
+			slots = append(slots, i)
+		}
+	}
+	var done atomic.Int64
+	done.Store(int64(len(have)))
+	s.q.Progress(id, len(have), len(points), nil)
 
-	so := dse.SweepOptions{
-		Workers:        s.sweepWorkers(rec.Spec.Workers),
-		Timeout:        time.Duration(rec.Spec.PointTimeoutMS) * time.Millisecond,
-		Retries:        rec.Spec.Retries,
-		MinSurvivors:   rec.Spec.MinSurvivors,
-		CheckpointPath: s.q.ckptPath(id),
-		// Checkpoint I/O rides the spool seam, and every failed append
-		// feeds the disk governor: checkpoints are best-effort for the
-		// job, but a spool that cannot absorb them is a daemon-level
-		// health problem.
-		FS: s.q.fs,
-		OnCheckpointError: func(err error) {
-			if disk := s.q.Disk(); disk != nil {
-				disk.ObserveWrite(err)
-			}
-		},
-		// Resume unconditionally: on a first run the checkpoint does not
-		// exist yet, and after a crash it holds exactly the completed
-		// points — the no-duplicates, no-loss contract.
-		Resume:   true,
-		Governor: s.gov,
-		OnPoint: func(done, total int) {
-			s.q.Progress(id, done, total)
-			if testHookJobPoint != nil {
-				testHookJobPoint()
-			}
-			if d := rec.Spec.PointDelayMS; d > 0 {
-				time.Sleep(time.Duration(d) * time.Millisecond)
-			}
-		},
-		OnCheckpointSalvage: func(rep *dse.CheckpointReport) {
-			s.opts.Logf("dsed: job %s resume salvage: %s", id, rep)
-		},
-		// Stream each design point's terminal failure as it lands. Records
-		// adopted from the resume checkpoint are skipped: their failures
-		// were journaled by the attempt that ran them, and the event journal
-		// survives the same crashes the checkpoint does.
-		OnRecord: func(r dse.RunRecord) {
-			if !r.Failed || r.FromCheckpoint {
-				return
-			}
-			ev := Event{
-				Type:     EventFailure,
-				Point:    r.Point.ID(),
-				Class:    r.FaultClass.String(),
-				Attempts: r.Attempts,
-			}
-			if r.Err != nil {
-				ev.Error = r.Err.Error()
-			}
-			s.q.emit(id, ev)
-		},
+	if len(missing) > 0 {
+		so := dse.SweepOptions{
+			Workers:  s.sweepWorkers(rec.Spec.Workers),
+			Timeout:  time.Duration(rec.Spec.PointTimeoutMS) * time.Millisecond,
+			Retries:  rec.Spec.Retries,
+			Governor: s.gov,
+			// A record cut short by cancellation is not terminal: it stays
+			// out of the journal so resume re-runs the point.
+			OnRecord: func(r dse.RunRecord) {
+				if !r.Skipped && !errors.Is(r.Err, context.Canceled) {
+					s.journalPoint(id, r, int(done.Add(1)), len(points))
+				}
+				if d := rec.Spec.PointDelayMS; d > 0 {
+					time.Sleep(time.Duration(d) * time.Millisecond)
+				}
+			},
+		}
+		if rec.Spec.FailureRate > 0 {
+			so.Faults = dse.PaperFaults(rec.Spec.FailureRate, rec.Spec.FailureSeed)
+		}
+		// MinSurvivors stays 0: survivorship is judged on the merged set
+		// below, so a subset in which every point failed is not an error.
+		swept, sweepErr := dse.SweepPreparedContext(ctx, pt, missing, so)
+		if outcome, msg := interruptOutcome(ctx); outcome != StateRunning {
+			return outcome, msg, 0, 0
+		}
+		if sweepErr != nil && !errors.Is(sweepErr, dse.ErrAllFailed) {
+			return StateFailed, fmt.Sprintf("sweep: %v", sweepErr), 0, 0
+		}
+		for k, r := range swept {
+			records[slots[k]] = r
+		}
 	}
-	if rec.Spec.FailureRate > 0 {
-		so.Faults = dse.PaperFaults(rec.Spec.FailureRate, rec.Spec.FailureSeed)
-	}
-
-	records, sweepErr := dse.SweepPreparedContext(ctx, pt, points, so)
-	if outcome, msg := interruptOutcome(ctx); outcome != StateRunning {
-		return outcome, msg, 0, 0
-	}
-	var sf *dse.SweepFailureError
-	if sweepErr != nil && !errors.As(sweepErr, &sf) {
+	sweepErr := dse.CheckSurvivors(records, rec.Spec.MinSurvivors)
+	if errors.Is(sweepErr, dse.ErrAllFailed) {
 		return StateFailed, fmt.Sprintf("sweep: %v", sweepErr), 0, 0
 	}
 
@@ -277,8 +264,8 @@ func (s *Scheduler) executeJob(ctx context.Context, rec *JobRecord) (state JobSt
 	if err != nil {
 		return StateFailed, fmt.Sprintf("result: %v", err), gate.Survivors, gate.Quarantined
 	}
-	// Result before record: recovery adopts a running job with a sealed
-	// result as done, so a crash between these two writes loses nothing.
+	// Result before terminal event: recovery adopts a running job with a
+	// sealed result as done, so a crash between the two loses nothing.
 	if err := s.sealResult(ctx, id, data); err != nil {
 		if outcome, msg := interruptOutcome(ctx); outcome != StateRunning {
 			return outcome, msg, gate.Survivors, gate.Quarantined
@@ -286,6 +273,50 @@ func (s *Scheduler) executeJob(ctx context.Context, rec *JobRecord) (state JobSt
 		return StateFailed, fmt.Sprintf("persist result: %v", err), gate.Survivors, gate.Quarantined
 	}
 	return StateDone, "", gate.Survivors, gate.Quarantined
+}
+
+// journalPoint journals one point's terminal record on a progress event,
+// preceded by its failure-log entry when it failed. An unencodable record
+// is journaled without its line, so the point re-runs on resume.
+func (s *Scheduler) journalPoint(id string, r dse.RunRecord, done, total int) {
+	if r.Failed {
+		ev := Event{
+			Type:     EventFailure,
+			Point:    r.Point.ID(),
+			Class:    r.FaultClass.String(),
+			Attempts: r.Attempts,
+		}
+		if r.Err != nil {
+			ev.Error = r.Err.Error()
+		}
+		s.q.emit(id, ev)
+	}
+	line, _ := dse.EncodeRecord(r)
+	s.q.Progress(id, done, total, line)
+}
+
+// journaledRecords decodes the point records job id's journal holds, keyed
+// by point ID. The frames are CRC-checked, so a record that fails to decode
+// is a bug, not damage, and fails the job rather than being re-run.
+func (s *Scheduler) journaledRecords(id string, points []dse.DesignPoint) (map[string]dse.RunRecord, error) {
+	var lines []json.RawMessage
+	for _, ev := range s.q.events.History(id) {
+		if ev.Type == EventProgress && len(ev.Record) > 0 {
+			lines = append(lines, ev.Record)
+		}
+	}
+	have := make(map[string]dse.RunRecord, len(lines))
+	if len(lines) == 0 {
+		return have, nil
+	}
+	recs, err := dse.DecodeCanonicalRecords(lines, points)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range recs {
+		have[r.Point.ID()] = r
+	}
+	return have, nil
 }
 
 // sealResult commits the result document, riding out degraded storage: a
@@ -299,13 +330,7 @@ func (s *Scheduler) sealResult(ctx context.Context, id string, data []byte) erro
 	disk := s.q.Disk()
 	const maxIsolated = 5
 	for attempt := 0; ; attempt++ {
-		err := artifact.WriteFileAtomicFS(s.q.fs, s.q.resultPath(id), 0o644, func(w io.Writer) error {
-			_, werr := w.Write(data)
-			return werr
-		})
-		if disk != nil {
-			disk.ObserveWrite(err)
-		}
+		err := s.q.writeResult(id, data)
 		if err == nil {
 			return nil
 		}
@@ -425,7 +450,7 @@ func decodeTraceFile(ctx context.Context, path string) (*memsim.PreparedTrace, e
 
 // JobResult is the durable final report of one completed job. Everything in
 // it is deterministic for a given spec — Records are the canonical sorted
-// checkpoint encodings, Pareto the sorted non-dominated point IDs — which
+// record encodings, Pareto the sorted non-dominated point IDs — which
 // is what makes a resumed job's report byte-identical to an uninterrupted
 // one.
 type JobResult struct {

@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
-	"os"
 	"sort"
 	"testing"
 )
@@ -40,8 +39,8 @@ func TestStatuszPayloadByteStable(t *testing.T) {
 			Requeued: 1,
 			Corrupt:  2,
 			CorruptFiles: []string{
-				"jobs/job-a.json.corrupt",
-				"jobs/job-b.json.corrupt",
+				"events/job-a.jsonl.corrupt",
+				"events/job-b.jsonl.corrupt",
 			},
 		},
 	}
@@ -60,7 +59,7 @@ func TestStatuszPayloadByteStable(t *testing.T) {
 	}
 }
 
-// TestRecoveryReportCorruptFilesCanonical rots two spool records and
+// TestRecoveryReportCorruptFilesCanonical rots two job journals and
 // requires the recovery report to name them in sorted order with
 // byte-stable JSON — regardless of the order recovery encountered them.
 func TestRecoveryReportCorruptFilesCanonical(t *testing.T) {
@@ -75,16 +74,9 @@ func TestRecoveryReportCorruptFilesCanonical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	q.Close()
 	for _, id := range []string{"zeta", "alpha"} {
-		path := q.jobPath(id)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0x40
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		rotFirstFrame(t, q.journalPath(id))
 	}
 
 	q2, err := OpenQueue(dir, QueueOptions{})
