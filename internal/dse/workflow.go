@@ -319,16 +319,16 @@ func TrainAndEvaluateContext(ctx context.Context, ds *Dataset, models []ModelSpe
 	if ds.Len() < 5 {
 		return nil, nil, fmt.Errorf("%w: %d rows", ErrNoData, ds.Len())
 	}
+	// Min-max scale features and each target over the whole corpus (§IV-A.4).
+	var xs ml.MinMaxScaler
+	X, err := xs.FitTransform(ds.X)
+	if err != nil {
+		return nil, nil, err
+	}
 	var table []ModelPerf
 	fig3 := map[string]*Figure3Series{}
 	for _, metric := range memsim.MetricNames {
 		yRaw, err := ds.Metric(metric)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Min-max scale features and target over the whole corpus (§IV-A.4).
-		var xs ml.MinMaxScaler
-		X, err := xs.FitTransform(ds.X)
 		if err != nil {
 			return nil, nil, err
 		}

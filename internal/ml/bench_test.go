@@ -31,6 +31,20 @@ func BenchmarkSVRFit(b *testing.B) {
 	}
 }
 
+// BenchmarkRegressionTreeFit grows one unbounded CART tree, the forest's
+// weak learner, on the paper-shaped 296-row training split.
+func BenchmarkRegressionTreeFit(b *testing.B) {
+	X, y, _ := paperShapedSplit(b, "rough")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var tr RegressionTree
+		if err := tr.Fit(X, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRandomForestFit(b *testing.B) {
 	X, y := benchData(b, 400)
 	b.ResetTimer()

@@ -1,8 +1,10 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -208,6 +210,80 @@ func TestSVRKernels(t *testing.T) {
 	}
 }
 
+// A refit must re-derive the default RBF gamma from the new data, exactly
+// as a fresh fit does, while a kernel the caller set survives refits.
+func TestSVRRefitMatchesFreshFit(t *testing.T) {
+	X, y := syntheticFriedman(60, 9)
+	scaled := make([][]float64, len(X))
+	for i, row := range X {
+		scaled[i] = make([]float64, len(row))
+		for j, v := range row {
+			scaled[i][j] = 10 * v
+		}
+	}
+	refit := NewSVR()
+	if err := refit.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	if err := refit.Fit(scaled, y); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewSVR()
+	if err := fresh.Fit(scaled, y); err != nil {
+		t.Fatal(err)
+	}
+	if refit.Kernel != fresh.Kernel {
+		t.Fatalf("refit kernel %+v, fresh fit %+v", refit.Kernel, fresh.Kernel)
+	}
+	if !reflect.DeepEqual(refit.Beta, fresh.Beta) || refit.B != fresh.B {
+		t.Fatal("refit dual solution differs from a fresh fit")
+	}
+	if !reflect.DeepEqual(PredictBatch(refit, scaled), PredictBatch(fresh, scaled)) {
+		t.Fatal("refit predictions differ from a fresh fit")
+	}
+
+	own := NewSVR()
+	own.Kernel = RBFKernel{Gamma: 0.5}
+	for _, data := range [][][]float64{X, scaled} {
+		if err := own.Fit(data, y); err != nil {
+			t.Fatal(err)
+		}
+		if own.Kernel != (RBFKernel{Gamma: 0.5}) {
+			t.Fatalf("caller's kernel replaced by %+v", own.Kernel)
+		}
+	}
+	// Setting a kernel after a default-kernel fit also sticks.
+	refit.Kernel = LinearKernel{}
+	if err := refit.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	if refit.Kernel != (LinearKernel{}) {
+		t.Fatalf("caller's kernel replaced by %+v", refit.Kernel)
+	}
+}
+
+// The dual solver allocates only per Fit, never per sweep or pair step:
+// running eight times as many sweeps allocates exactly as often.
+func TestSVRFitAllocsIndependentOfSweeps(t *testing.T) {
+	X, y, _ := paperShapedSplit(t, "smooth")
+	allocs := func(maxIter int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			m := NewSVR()
+			m.MaxIter = maxIter
+			if err := m.Fit(X, y); err != nil {
+				panic(err)
+			}
+			if m.Iters != maxIter {
+				panic(fmt.Sprintf("solver stopped after %d of %d sweeps", m.Iters, maxIter))
+			}
+		})
+	}
+	short, long := allocs(50), allocs(400)
+	if short != long {
+		t.Fatalf("SVR.Fit allocated %.0f times with 50 sweeps and %.0f with 400; want equal", short, long)
+	}
+}
+
 func TestRegressionTreePerfectOnTrainWhenUnbounded(t *testing.T) {
 	X, y := syntheticFriedman(100, 2)
 	var tr RegressionTree
@@ -267,6 +343,26 @@ func TestRegressionTreeSingleSample(t *testing.T) {
 	}
 	if got := tr.Predict([]float64{0, 0}); got != 7 {
 		t.Fatalf("Predict = %v, want 7", got)
+	}
+}
+
+// Growing a tree allocates its nodes plus a constant of per-Fit scratch;
+// the split search allocates nothing per feature or per node.
+func TestRegressionTreeFitAllocBound(t *testing.T) {
+	X, y, _ := paperShapedSplit(t, "rough")
+	var nodes int
+	allocs := testing.AllocsPerRun(3, func() {
+		var tr RegressionTree
+		if err := tr.Fit(X, y); err != nil {
+			panic(err)
+		}
+		nodes = 2*tr.LeafCount() - 1
+	})
+	if nodes < 100 {
+		t.Fatalf("tree has only %d nodes; the bound needs a deep tree", nodes)
+	}
+	if limit := float64(nodes + 16); allocs > limit {
+		t.Fatalf("RegressionTree.Fit allocated %.0f times for %d nodes; want <= %.0f", allocs, nodes, limit)
 	}
 }
 

@@ -23,7 +23,9 @@ type SVR struct {
 	C float64
 	// Epsilon is the insensitive-tube half width.
 	Epsilon float64
-	// Kernel defaults to RBF with gamma chosen as 1/(d·Var(X)) ("scale").
+	// Kernel defaults to RBF with gamma chosen as 1/(d·Var(X)) ("scale"),
+	// which Fit stores here and re-derives from the data on every Fit. A
+	// kernel the caller sets is kept across fits.
 	Kernel Kernel
 	// Tol is the convergence threshold on the per-sweep maximum β change.
 	Tol float64
@@ -39,6 +41,9 @@ type SVR struct {
 	// Iters records how many sweeps the solver used.
 	Iters  int
 	fitted bool
+	// autoKernel is the kernel Fit last chose itself, which tells a
+	// refit whether Kernel still holds that default or the caller's own.
+	autoKernel Kernel
 }
 
 // NewSVR returns an SVR with defaults suitable for min-max-scaled data.
@@ -67,8 +72,9 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	if s.MaxIter <= 0 {
 		s.MaxIter = 400
 	}
-	if s.Kernel == nil {
-		s.Kernel = RBFKernel{Gamma: scaleGamma(X, d)}
+	if s.Kernel == nil || s.Kernel == s.autoKernel {
+		s.autoKernel = RBFKernel{Gamma: scaleGamma(X, d)}
+		s.Kernel = s.autoKernel
 	}
 	n := len(X)
 	gram := gramMatrix(s.Kernel, X)
@@ -86,7 +92,7 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 		rng.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
 		var maxDelta float64
 		for _, i := range order {
-			j := s.selectPartner(i, n, y, f)
+			j := s.selectPartner(i, y, f)
 			if j == i {
 				continue
 			}
@@ -102,12 +108,20 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 
 	s.B = computeBias(beta, y, f, s.Epsilon, s.C)
 
-	// Keep only support vectors.
-	s.SupportX = s.SupportX[:0]
-	s.Beta = s.Beta[:0]
+	// Keep only support vectors, copied into one backing array.
+	nSV := 0
+	for _, b := range beta {
+		if math.Abs(b) > 1e-10 {
+			nSV++
+		}
+	}
+	sv := make([]float64, 0, nSV*d)
+	s.SupportX = make([][]float64, 0, nSV)
+	s.Beta = make([]float64, 0, nSV)
 	for i, b := range beta {
 		if math.Abs(b) > 1e-10 {
-			s.SupportX = append(s.SupportX, append([]float64(nil), X[i]...))
+			sv = append(sv, X[i]...)
+			s.SupportX = append(s.SupportX, sv[len(sv)-d:len(sv):len(sv)])
 			s.Beta = append(s.Beta, b)
 		}
 	}
@@ -116,28 +130,36 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 }
 
 // selectPartner picks the j maximizing the residual gap |F_i - F_j|, the
-// standard maximal-violating-pair heuristic.
-func (s *SVR) selectPartner(i, n int, y, f []float64) int {
+// standard maximal-violating-pair heuristic; ties keep the first j. It
+// scans the rows before and after i separately, in index order.
+func (s *SVR) selectPartner(i int, y, f []float64) int {
+	y = y[:len(f)]
 	fi := y[i] - f[i]
-	best, bestGap := i, -1.0
-	for j := 0; j < n; j++ {
-		if j == i {
-			continue
-		}
-		gap := math.Abs(fi - (y[j] - f[j]))
-		if gap > bestGap {
-			bestGap, best = gap, j
-		}
-	}
+	best, bestGap := scanGap(fi, y[:i], f[:i], 0, i, -1)
+	best, _ = scanGap(fi, y[i+1:], f[i+1:], i+1, best, bestGap)
 	return best
 }
 
+// scanGap continues an argmax of |fi - (y[j]-f[j])| over one row range
+// starting at index off, keeping the first strict maximum.
+func scanGap(fi float64, y, f []float64, off, best int, bestGap float64) (int, float64) {
+	y = y[:len(f)]
+	for j, fj := range f {
+		if gap := math.Abs(fi - (y[j] - fj)); gap > bestGap {
+			bestGap, best = gap, off+j
+		}
+	}
+	return best, bestGap
+}
+
 // optimizePair exactly maximizes the dual restricted to (βᵢ, βⱼ) with
-// βᵢ+βⱼ fixed, and returns |Δβᵢ|.
+// βᵢ+βⱼ fixed, and returns |Δβᵢ|. It reads the Gram matrix through rows i
+// and j only and allocates nothing.
 func (s *SVR) optimizePair(i, j int, gram *mat.Dense, y, beta, f []float64) float64 {
-	kii := gram.At(i, i)
-	kjj := gram.At(j, j)
-	kij := gram.At(i, j)
+	gi, gj := gram.RawRow(i), gram.RawRow(j)
+	kii := gi[i]
+	kjj := gj[j]
+	kij := gi[j]
 	eta := kii + kjj - 2*kij
 	bi, bj := beta[i], beta[j]
 	sum := bi + bj
@@ -149,18 +171,20 @@ func (s *SVR) optimizePair(i, j int, gram *mat.Dense, y, beta, f []float64) floa
 	// Contribution of all other points (and self terms removed).
 	ri := f[i] - bi*kii - bj*kij
 	rj := f[j] - bi*kij - bj*kjj
+	yi, yj, eps := y[i], y[j], s.Epsilon
 
 	// Restricted objective (constant terms dropped).
 	obj := func(t float64) float64 {
 		u := sum - t
 		return -0.5*(kii*t*t+kjj*u*u+2*kij*t*u) -
-			s.Epsilon*(math.Abs(t)+math.Abs(u)) +
-			y[i]*t + y[j]*u - t*ri - u*rj
+			eps*(math.Abs(t)+math.Abs(u)) +
+			yi*t + yj*u - t*ri - u*rj
 	}
 
 	// Candidate points: breakpoints of the piecewise-quadratic plus the
-	// stationary point of each sign region.
-	cands := []float64{lo, hi}
+	// stationary point of each sign region (at most 2+1+1+4).
+	var buf [8]float64
+	cands := append(buf[:0], lo, hi)
 	if lo < 0 && 0 < hi {
 		cands = append(cands, 0)
 	}
@@ -168,9 +192,9 @@ func (s *SVR) optimizePair(i, j int, gram *mat.Dense, y, beta, f []float64) floa
 		cands = append(cands, sum)
 	}
 	if eta > 1e-14 {
-		base := (kjj-kij)*sum + (y[i] - y[j]) - (ri - rj)
+		base := (kjj-kij)*sum + (yi - yj) - (ri - rj)
 		for _, sg := range [...][2]float64{{1, 1}, {1, -1}, {-1, 1}, {-1, -1}} {
-			t := (base - s.Epsilon*(sg[0]-sg[1])) / eta
+			t := (base - eps*(sg[0]-sg[1])) / eta
 			// Clip into the global box; region validity is handled by the
 			// exact objective comparison.
 			if t < lo {
@@ -195,9 +219,9 @@ func (s *SVR) optimizePair(i, j int, gram *mat.Dense, y, beta, f []float64) floa
 	dJ := (sum - bestT) - bj
 	beta[i] = bestT
 	beta[j] = sum - bestT
-	n := len(beta)
-	for k := 0; k < n; k++ {
-		f[k] += dI*gram.At(i, k) + dJ*gram.At(j, k)
+	gi, gj = gi[:len(f)], gj[:len(f)]
+	for k := range f {
+		f[k] += dI*gi[k] + dJ*gj[k]
 	}
 	return math.Abs(dI)
 }

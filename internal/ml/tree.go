@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // RegressionTree is a CART regression tree grown by greedy variance
@@ -27,7 +27,16 @@ type RegressionTree struct {
 	nDims  int
 	rng    *rand.Rand
 	fitted bool
+
+	// Scratch shared by every node while Fit grows the tree: the (x, y)
+	// pairs bestSplit sorts, the right-hand rows grow spills while it
+	// partitions idx in place, and the feature-subset permutation.
+	pairs []splitPair
+	spill []int
+	feats []int
 }
+
+type splitPair struct{ x, y float64 }
 
 type treeNode struct {
 	feature     int // split feature; -1 for leaves
@@ -58,7 +67,11 @@ func (t *RegressionTree) Fit(X [][]float64, y []float64) error {
 	for i := range idx {
 		idx[i] = i
 	}
+	t.pairs = make([]splitPair, len(X))
+	t.spill = make([]int, len(X))
+	t.feats = make([]int, d)
 	t.root = t.grow(X, y, idx, 0)
+	t.pairs, t.spill, t.feats = nil, nil, nil
 	t.fitted = true
 	return nil
 }
@@ -77,14 +90,22 @@ func (t *RegressionTree) grow(X [][]float64, y []float64, idx []int, depth int) 
 	if !ok {
 		return node
 	}
-	var left, right []int
+	// Stable in-place partition: left rows compact to the front of idx,
+	// right rows go through the spill buffer and follow them, both in
+	// their original order. The order matters: it decides how bestSplit's
+	// unstable sort arranges tied x values in the children.
+	nl, nr := 0, 0
 	for _, i := range idx {
 		if X[i][feat] <= thr {
-			left = append(left, i)
+			idx[nl] = i
+			nl++
 		} else {
-			right = append(right, i)
+			t.spill[nr] = i
+			nr++
 		}
 	}
+	copy(idx[nl:], t.spill[:nr])
+	left, right := idx[:nl], idx[nl:]
 	if len(left) < t.MinSamplesLeaf || len(right) < t.MinSamplesLeaf {
 		return node
 	}
@@ -101,8 +122,7 @@ func (t *RegressionTree) grow(X [][]float64, y []float64, idx []int, depth int) 
 func (t *RegressionTree) bestSplit(X [][]float64, y []float64, idx []int) (feature int, threshold float64, ok bool) {
 	n := len(idx)
 	feats := t.featureSubset()
-	type pair struct{ x, y float64 }
-	pairs := make([]pair, n)
+	pairs := t.pairs[:n]
 	bestGain := math.Inf(-1)
 
 	var totSum, totSq float64
@@ -113,10 +133,19 @@ func (t *RegressionTree) bestSplit(X [][]float64, y []float64, idx []int) (featu
 	parentSSE := totSq - totSum*totSum/float64(n)
 
 	for _, f := range feats {
+		x0 := X[idx[0]][f]
+		constant := true
 		for k, i := range idx {
-			pairs[k] = pair{X[i][f], y[i]}
+			x := X[i][f]
+			constant = constant && x == x0
+			pairs[k] = splitPair{x, y[i]}
 		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].x < pairs[b].x })
+		if constant {
+			continue // no threshold separates equal values
+		}
+		// Same pdqsort template and less as sort.Slice, hence the same
+		// permutation, without reflection or per-call allocation.
+		slices.SortFunc(pairs, cmpSplitX)
 		var lSum, lSq float64
 		for k := 0; k < n-1; k++ {
 			lSum += pairs[k].y
@@ -146,8 +175,19 @@ func (t *RegressionTree) bestSplit(X [][]float64, y []float64, idx []int) (featu
 	return feature, threshold, ok
 }
 
+// cmpSplitX orders pairs by x; its "less" (cmp < 0) is exactly x < x'.
+func cmpSplitX(a, b splitPair) int {
+	switch {
+	case a.x < b.x:
+		return -1
+	case a.x > b.x:
+		return 1
+	}
+	return 0
+}
+
 func (t *RegressionTree) featureSubset() []int {
-	all := make([]int, t.nDims)
+	all := t.feats
 	for i := range all {
 		all[i] = i
 	}
