@@ -1,5 +1,7 @@
 package memsim
 
+import "math/bits"
+
 // dramCache is the set-associative DRAM cache fronting the NVM backing
 // store in hybrid mode (NVMain's DRAM-cache hybrid organization). Tags are
 // tracked exactly; data motion is modeled through the timing engine. The
@@ -8,6 +10,7 @@ package memsim
 type dramCache struct {
 	ways    int
 	sets    int
+	recip   uint64      // ⌈2^64 / sets⌉ mod 2^64, the fastmod reciprocal
 	lines   []cacheLine // set-major: sets × ways
 	tick    uint64      // LRU clock
 	hits    uint64
@@ -37,6 +40,7 @@ func (c *dramCache) init(lines, ways int) {
 	}
 	c.ways = ways
 	c.sets = sets
+	c.recip = ^uint64(0)/uint64(sets) + 1
 	n := sets * ways
 	if cap(c.lines) < n {
 		c.lines = make([]cacheLine, n)
@@ -52,8 +56,21 @@ func (c *dramCache) init(lines, ways int) {
 
 // set returns the ways of the set a line maps to.
 func (c *dramCache) set(line uint64) []cacheLine {
-	s := line % uint64(c.sets)
+	s := c.setIndex(line)
 	return c.lines[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
+}
+
+// setIndex is line mod sets. When both fit in 32 bits it multiplies by the
+// precomputed reciprocal instead of dividing (Lemire, Kaser and Kurz,
+// "Faster Remainder by Direct Computation", 2019: exact for every 32-bit
+// dividend and divisor).
+func (c *dramCache) setIndex(line uint64) uint64 {
+	d := uint64(c.sets)
+	if line|d < 1<<32 {
+		s, _ := bits.Mul64(c.recip*line, d)
+		return s
+	}
+	return line % d
 }
 
 // access looks up a line. On a hit it updates LRU and dirtiness and returns

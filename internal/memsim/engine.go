@@ -1,6 +1,9 @@
 package memsim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // winReq is one admitted request in the controller window.
 type winReq struct {
@@ -19,20 +22,21 @@ type bankState struct {
 // channelEngine simulates one channel: per-bank state machines, a shared
 // data bus, a scheduling window, and (for hybrid) the DRAM cache front.
 // All mutable per-run state lives in the pooled engineState; the engine
-// itself is a stack value wired to the simulator's immutable tables.
+// itself is a stack value wired to the simulator's immutable tables. The
+// clock, the data-bus cursor and the queue's ring positions are locals of
+// run; service takes the clock and the bus cursor as arguments.
 //
-// The controller queue is two rings over pooled storage:
+// The controller queue is two rings over pooled storage, each sized to the
+// next power of two ≥ QueueDepth so a mask does the wrap; together they
+// hold at most QueueDepth requests:
 //
-//   - win (winHead/winLen) holds admitted-but-unscheduled requests in
-//     arrival order. FCFS pops the head in O(1); FR-FCFS removes from the
-//     middle by shifting whichever side is shorter.
-//   - inflight (infHead/infLen) holds completion times of scheduled
-//     requests, sorted ascending. Completion times are monotone in issue
-//     order (every service path advances busFreeAt to its data-done cycle,
-//     and the next completion lands at least one burst later), so pushes
-//     are O(1) amortized, retirement pops the head, and the earliest
-//     completion IS the head — replacing the O(depth) scans of the
-//     pre-refactor engine.
+//   - win holds admitted-but-unscheduled requests in arrival order. FCFS
+//     pops the head; FR-FCFS removes from the middle by shifting whichever
+//     side is shorter.
+//   - inflight holds completion times of issued requests in issue order.
+//     Completion times are non-decreasing in issue order (see service), so
+//     it is a plain FIFO: its head is the earliest completion, and
+//     retirement pops it.
 type channelEngine struct {
 	cfg       *Config
 	mapper    *AddressMapper
@@ -41,18 +45,16 @@ type channelEngine struct {
 	front     *timingTable // DRAM tier of a hybrid
 	rows      int
 	lineBytes uint64
-	busFreeAt uint64
-	now       uint64
 	stats     ChannelStats
 	cache     *dramCache // hybrid-cache front, else nil
 	// flatHalf > 0 marks a flat hybrid: banks [0, flatHalf) are DRAM-timed,
-	// banks [flatHalf, 2·flatHalf) NVM-timed.
+	// banks [flatHalf, 2·flatHalf) NVM-timed. A line's tier is DRAM when
+	// its hash mod 1024 is below flatCut = ⌈DRAMFraction·1024⌉, and
+	// st.flatBank[bank<<1|tier] is its remapped, pre-shifted bank field.
 	flatHalf int
+	flatCut  uint64
 	closed   bool // ClosedPage policy
 	frfcfs   bool
-
-	winHead, winLen int
-	infHead, infLen int
 }
 
 func newChannelEngine(s *Simulator, st *engineState) channelEngine {
@@ -70,9 +72,15 @@ func newChannelEngine(s *Simulator, st *engineState) channelEngine {
 	}
 	if cfg.Type == Hybrid {
 		if cfg.HybridMode == HybridFlat {
-			e.flatHalf = s.mapper.BanksPerChannel() / 2
-			if e.flatHalf < 1 {
-				e.flatHalf = 1
+			nb := s.mapper.BanksPerChannel()
+			e.flatHalf = max(nb/2, 1)
+			// For an integer k, k < x exactly when k < ⌈x⌉.
+			e.flatCut = uint64(math.Ceil(cfg.DRAMFraction * 1024))
+			st.flatBank = st.flatBank[:0]
+			for b := 0; b < nb; b++ {
+				for tier := 0; tier < 2; tier++ {
+					st.flatBank = append(st.flatBank, uint64(b%e.flatHalf+tier*e.flatHalf)<<metaBankShift)
+				}
 			}
 		} else {
 			e.cache = &st.cache
@@ -86,7 +94,7 @@ func newChannelEngine(s *Simulator, st *engineState) channelEngine {
 // hash.
 func (e *channelEngine) flatTier(line uint64) int {
 	h := (line * 0x9E3779B97F4A7C15) >> 40
-	if float64(h%1024) < e.cfg.DRAMFraction*1024 {
+	if h%1024 < e.flatCut {
 		return 0
 	}
 	return 1
@@ -101,188 +109,138 @@ func (e *channelEngine) flatTier(line uint64) int {
 // cycles are derived from the partition's CPU-cycle timestamps here, since
 // the clock ratio is a per-configuration property.
 func (e *channelEngine) run(part *channelPart, ratio float64) {
-	depth := len(e.st.win)
-	n := part.len()
-	next := 0
-	var nextArrival uint64
-	if n > 0 {
-		nextArrival = uint64(float64(part.cycles[0]) * ratio)
+	win, inflight := e.st.win, e.st.inflight
+	mask := len(win) - 1
+	depth := e.cfg.QueueDepth
+	cycles, lines, metas := part.cycles, part.lines, part.meta
+	var flat []uint64
+	if e.flatHalf > 0 {
+		flat = e.st.flatBank
 	}
-	for e.winLen > 0 || next < n {
-		// Retire completed in-flight requests: pop the sorted ring's head.
-		for e.infLen > 0 && e.st.inflight[e.infHead] <= e.now {
-			e.infHead++
-			if e.infHead == depth {
-				e.infHead = 0
-			}
-			e.infLen--
+	n := len(cycles)
+	var now, busFree, done, nextArrival uint64
+	var winHead, winLen, infHead, infLen, next int
+	if n > 0 {
+		nextArrival = uint64(cycles[0] * ratio)
+	}
+	for winLen > 0 || next < n {
+		// Retire completed in-flight requests: pop the FIFO's head.
+		for infLen > 0 && inflight[infHead] <= now {
+			infHead = (infHead + 1) & mask
+			infLen--
 		}
-		// Admit arrived requests while the queue has room.
-		for next < n && e.winLen+e.infLen < depth && nextArrival <= e.now {
-			e.admit(part, next, nextArrival)
+		// Admit arrived requests while the queue has room. A request is
+		// admitted at the first step at or after its arrival: at now.
+		for next < n && winLen+infLen < depth && nextArrival <= now {
+			e.stats.StallCycles += now - nextArrival
+			line, m := lines[next], metas[next]
+			if flat != nil {
+				// Resolve the flat-hybrid tier remap once, so scheduling
+				// and service work on the effective bank.
+				m = m&^(metaBankMask<<metaBankShift) | flat[metaBank(m)<<1|e.flatTier(line)]
+			}
+			win[(winHead+winLen)&mask] = winReq{enq: now, line: line, meta: m}
+			winLen++
 			next++
 			if next < n {
-				nextArrival = uint64(float64(part.cycles[next]) * ratio)
+				nextArrival = uint64(cycles[next] * ratio)
 			}
 		}
-		if e.winLen == 0 {
-			// Idle or blocked: jump to whichever comes first — the next
-			// arrival (if a slot is free) or the earliest completion.
-			var wake uint64
-			switch {
-			case next < n && e.infLen < depth:
+		if winLen == 0 {
+			// Idle or blocked (the loop condition leaves next < n): jump to
+			// whichever comes first — the next arrival (if a slot is free)
+			// or the earliest completion.
+			wake := inflight[infHead]
+			if infLen < depth && (infLen == 0 || nextArrival < wake) {
 				wake = nextArrival
-				if e.infLen > 0 && e.st.inflight[e.infHead] < wake {
-					wake = e.st.inflight[e.infHead]
-				}
-			default:
-				if e.infLen == 0 {
-					return // nothing left anywhere
-				}
-				wake = e.st.inflight[e.infHead]
 			}
-			if wake > e.now {
-				e.now = wake
+			if wake > now {
+				now = wake
 			} else {
-				e.now++
+				now++
 			}
 			continue
 		}
-		req := e.remove(e.schedule())
+		i := 0
+		if e.frfcfs && winLen > 1 {
+			i = e.schedule(win, winHead, winLen, mask, now)
+		}
+		req := win[(winHead+i)&mask]
+		if i == 0 {
+			winHead = (winHead + 1) & mask
+		} else {
+			winHead = remove(win, winHead, winLen, i, mask)
+		}
+		winLen--
 
-		done, devLat := e.service(req)
-		e.pushInflight(done)
-		e.stats.Requests++
+		var devLat uint64
+		done, devLat, busFree = e.service(req, now, busFree)
+		inflight[(infHead+infLen)&mask] = done
+		infLen++
 		e.stats.SumDeviceLatency += devLat
 		totalLat := done - req.enq
 		e.stats.SumTotalLatency += totalLat
 		e.stats.LatencyHist[bits.Len64(totalLat)]++
-		if done > e.stats.LastCompletion {
-			e.stats.LastCompletion = done
-		}
-		e.now++ // command-issue slot; banks proceed in parallel
+		now++ // command-issue slot; banks proceed in parallel
 	}
+	e.stats.Requests = uint64(n)
+	e.stats.LastCompletion = done // completions are non-decreasing
 }
 
-// admit places partition event i into the window, resolving the flat-hybrid
-// tier remap once so scheduling and service work on the effective bank.
-func (e *channelEngine) admit(part *channelPart, i int, arrival uint64) {
-	depth := len(e.st.win)
-	enq := max(arrival, e.now)
-	e.stats.StallCycles += enq - arrival
-	line := part.lines[i]
-	m := part.meta[i]
-	if e.flatHalf > 0 {
-		eb := metaBank(m)%e.flatHalf + e.flatTier(line)*e.flatHalf
-		m = uint64(metaRow(m)) | uint64(eb)<<metaBankShift | m&metaWrite
-	}
-	slot := e.winHead + e.winLen
-	if slot >= depth {
-		slot -= depth
-	}
-	e.st.win[slot] = winReq{enq: enq, line: line, meta: m}
-	e.winLen++
-}
-
-// remove extracts the window's i-th oldest request, shifting whichever side
-// of the ring is shorter. FCFS (i = 0) is a pure head pop.
-func (e *channelEngine) remove(i int) winReq {
-	depth := len(e.st.win)
-	pos := e.winHead + i
-	if pos >= depth {
-		pos -= depth
-	}
-	r := e.st.win[pos]
-	if i < e.winLen-1-i {
+// remove takes the i-th oldest of the n requests in the window ring
+// starting at head, shifting whichever side of it is shorter, and returns
+// the ring's new head.
+func remove(win []winReq, head, n, i, mask int) int {
+	if i < n-1-i {
 		// Closer to the head: shift the prefix toward the tail.
 		for j := i; j > 0; j-- {
-			dst := e.winHead + j
-			if dst >= depth {
-				dst -= depth
-			}
-			src := e.winHead + j - 1
-			if src >= depth {
-				src -= depth
-			}
-			e.st.win[dst] = e.st.win[src]
+			win[(head+j)&mask] = win[(head+j-1)&mask]
 		}
-		e.winHead++
-		if e.winHead == depth {
-			e.winHead = 0
-		}
-	} else {
-		// Closer to the tail: shift the suffix toward the head.
-		for j := i; j < e.winLen-1; j++ {
-			dst := e.winHead + j
-			if dst >= depth {
-				dst -= depth
-			}
-			src := e.winHead + j + 1
-			if src >= depth {
-				src -= depth
-			}
-			e.st.win[dst] = e.st.win[src]
-		}
+		return (head + 1) & mask
 	}
-	e.winLen--
-	return r
+	// Closer to the tail: shift the suffix toward the head.
+	for j := i; j < n-1; j++ {
+		win[(head+j)&mask] = win[(head+j+1)&mask]
+	}
+	return head
 }
 
-// pushInflight inserts a completion time into the sorted inflight ring.
-// Completions arrive in nearly (in fact exactly) non-decreasing order, so
-// the backward scan terminates immediately in practice while still being
-// correct if a service path ever produced an out-of-order completion.
-func (e *channelEngine) pushInflight(done uint64) {
-	i := e.infLen
-	for i > 0 && e.st.inflight[e.infAt(i-1)] > done {
-		e.st.inflight[e.infAt(i)] = e.st.inflight[e.infAt(i-1)]
-		i--
-	}
-	e.st.inflight[e.infAt(i)] = done
-	e.infLen++
-}
-
-func (e *channelEngine) infAt(i int) int {
-	p := e.infHead + i
-	if p >= len(e.st.inflight) {
-		p -= len(e.st.inflight)
-	}
-	return p
-}
-
-// schedule picks the next request index in the window: FCFS takes the head;
-// FR-FCFS prefers row-buffer hits (cache residency for hybrid-cache),
-// falling back to the oldest request.
-func (e *channelEngine) schedule() int {
-	if !e.frfcfs || e.winLen == 1 {
-		return 0
-	}
-	depth := len(e.st.win)
-	pos := e.winHead
-	for i := 0; i < e.winLen; i++ {
-		r := &e.st.win[pos]
+// schedule picks the FR-FCFS choice among the n requests in the window ring
+// starting at head: the oldest row-buffer hit (cache residency for
+// hybrid-cache), falling back to the oldest request.
+func (e *channelEngine) schedule(win []winReq, head, n, mask int, now uint64) int {
+	for i := 0; i < n; i++ {
+		r := &win[(head+i)&mask]
 		if e.cache != nil {
 			if e.cache.peek(r.line) {
 				return i
 			}
 		} else {
 			b := &e.st.banks[metaBank(r.meta)]
-			if b.openRow == int64(metaRow(r.meta)) && b.readyAt <= e.now {
+			if b.openRow == int64(metaRow(r.meta)) && b.readyAt <= now {
 				return i
 			}
-		}
-		pos++
-		if pos == depth {
-			pos = 0
 		}
 	}
 	return 0
 }
 
-// service executes one request and returns its completion cycle and its
-// device latency (the access time excluding queueing, which NVMain reports
-// as "average latency"; the queue-inclusive time is completion − arrival).
-func (e *channelEngine) service(r winReq) (done, devLat uint64) {
+// service executes one request issued at now with the data bus free from
+// busFree. It returns the request's completion cycle, its device latency
+// (the access time excluding queueing, which NVMain reports as "average
+// latency"; the queue-inclusive time is completion − arrival), and the new
+// bus-free cycle.
+//
+// Completions are non-decreasing in issue order, which is what lets run keep
+// them in a FIFO. A tier access or a cache hit completes when its data burst
+// ends and returns that cycle as the new busFree; the next request's burst
+// starts no earlier, so it completes at least one burst later. A cache miss
+// completes one front-tier burst after its fill and returns the fill (or,
+// after a dirty writeback, that later burst's end) as busFree; a following
+// hit still completes one front burst past busFree, and a following miss a
+// fill plus a front burst past it. So each completion is ≥ the one before,
+// equal only for a cache hit right after a miss.
+func (e *channelEngine) service(r winReq, now, busFree uint64) (done, devLat, busFreeOut uint64) {
 	row := metaRow(r.meta)
 	bank := metaBank(r.meta)
 	write := metaIsWrite(r.meta)
@@ -290,20 +248,21 @@ func (e *channelEngine) service(r winReq) (done, devLat uint64) {
 		// Flat hybrid: the bank was tier-remapped at admission, so the tier
 		// is implied by which half it landed in.
 		if bank < e.flatHalf {
-			return e.serviceTier(bank, row, write, e.now, e.front, false)
+			done, devLat = e.serviceTier(bank, row, write, now, busFree, e.front, false)
+		} else {
+			done, devLat = e.serviceTier(bank, row, write, now, busFree, e.back, true)
 		}
-		return e.serviceTier(bank, row, write, e.now, e.back, true)
+		return done, devLat, done
 	}
 	if e.cache == nil {
-		return e.serviceTier(bank, row, write, e.now, e.back, true)
+		done, devLat = e.serviceTier(bank, row, write, now, busFree, e.back, true)
+		return done, devLat, done
 	}
 	// Hybrid: consult the DRAM cache first.
 	hit, writeback, victim := e.cache.access(r.line, write)
 	if hit {
 		e.stats.CacheHits++
-		dataStart := max(e.now+e.front.hitCas, e.busFreeAt)
-		done = dataStart + e.front.burst
-		e.busFreeAt = done
+		done = max(now+e.front.hitCas, busFree) + e.front.burst
 		if write {
 			e.stats.EnergyNJ += e.front.eWrite
 		} else {
@@ -311,35 +270,37 @@ func (e *channelEngine) service(r winReq) (done, devLat uint64) {
 		}
 		// The critical word is forwarded as soon as the column access
 		// completes; the burst tail overlaps with the consumer.
-		return done, e.front.hitCas
+		return done, e.front.hitCas, done
 	}
 	e.stats.CacheMisses++
 	// Miss: fetch the line from the NVM backing store (write-allocate).
-	done, devLat = e.serviceTier(bank, row, false, e.now, e.back, true)
+	fill, devLat := e.serviceTier(bank, row, false, now, busFree, e.back, true)
 	// Install into the cache: one DRAM-side burst after the fill.
-	done += e.front.burst
+	done = fill + e.front.burst
 	devLat += e.front.burst
 	if write {
 		e.stats.EnergyNJ += e.front.eWrite
 	} else {
 		e.stats.EnergyNJ += e.front.eRead
 	}
+	busFree = fill
 	// Dirty victim: write it back to NVM. The writeback occupies the backend
 	// after the fill but does not delay this request's completion.
 	if writeback {
 		e.stats.CacheWritebacks++
 		vloc := e.mapper.Map(victim * e.lineBytes)
-		e.serviceTier(e.mapper.BankIndex(vloc), vloc.Row, true, done, e.back, true)
+		busFree, _ = e.serviceTier(e.mapper.BankIndex(vloc), vloc.Row, true, done, busFree, e.back, true)
 	}
-	return done, devLat
+	return done, devLat, busFree
 }
 
 // serviceTier performs a device access on one tier's bank bi starting no
-// earlier than at, using the tier's folded timing table; trackEndurance
-// enables hot-row write accounting (NVM tiers). It returns the completion
-// cycle and the device latency (row handling + column access + burst,
+// earlier than at, with the data bus free from busFree, using the tier's
+// folded timing table; trackEndurance enables hot-row write accounting (NVM
+// tiers). It returns the completion cycle, which is also the new bus-free
+// cycle, and the device latency (row handling + column access + burst,
 // excluding data-bus queueing).
-func (e *channelEngine) serviceTier(bi, row int, write bool, at uint64, t *timingTable, trackEndurance bool) (done, devLat uint64) {
+func (e *channelEngine) serviceTier(bi, row int, write bool, at, busFree uint64, t *timingTable, trackEndurance bool) (done, devLat uint64) {
 	b := &e.st.banks[bi]
 	start := max(at, b.readyAt)
 	// Event-level refresh: when enabled, catch up on overdue refreshes
@@ -364,7 +325,6 @@ func (e *channelEngine) serviceTier(bi, row int, write bool, at uint64, t *timin
 		b.lastActivate = start
 		casDone = start + t.actCas
 		devLat = t.devMiss
-		e.stats.Activates++
 		e.stats.EnergyNJ += t.eActivate
 	} else if b.openRow == int64(row) {
 		e.stats.RowHits++
@@ -382,12 +342,9 @@ func (e *channelEngine) serviceTier(bi, row int, write bool, at uint64, t *timin
 		casDone = start + t.actCas
 		devLat = t.devMiss
 		b.openRow = int64(row)
-		e.stats.Activates++
 		e.stats.EnergyNJ += t.eActivate
 	}
-	dataStart := max(casDone, e.busFreeAt)
-	dataDone := dataStart + t.burst
-	e.busFreeAt = dataDone
+	dataDone := max(casDone, busFree) + t.burst
 	var prechargeTail uint64
 	if e.closed {
 		// Auto-precharge after the burst, honoring tRAS restore.
@@ -410,15 +367,21 @@ func (e *channelEngine) serviceTier(bi, row int, write bool, at uint64, t *timin
 		e.stats.Reads++
 		e.stats.EnergyNJ += t.eRead
 	}
-	e.stats.BytesTransferred += e.lineBytes
 	e.st.perBank[bi] += e.lineBytes
 	return dataDone, devLat
 }
 
 // snapshot copies the run's statistics out of pooled storage. PerBankBytes
 // is cloned because the Result retains it past the engine state's release.
+// Every activate is a row miss and every access moves one line through its
+// bank, so Activates and BytesTransferred are derived here rather than
+// counted per request.
 func (e *channelEngine) snapshot(dst *ChannelStats, hitRate *float64) {
 	e.stats.PerBankBytes = append([]uint64(nil), e.st.perBank...)
+	e.stats.Activates = e.stats.RowMisses
+	for _, b := range e.stats.PerBankBytes {
+		e.stats.BytesTransferred += b
+	}
 	*dst = e.stats
 	if e.cache != nil {
 		*hitRate = e.cache.hitRate()

@@ -46,13 +46,13 @@ func metaIsWrite(m uint64) bool { return m&metaWrite != 0 }
 
 // channelPart is one channel's share of a partitioned trace.
 type channelPart struct {
-	cycles []uint64 // CPU-cycle timestamps (controller arrival is computed at replay, since the clock ratio varies per config)
-	lines  []uint64 // global line indices
-	meta   []uint64 // packed row/bank/write
+	cycles []float64 // CPU-cycle timestamps, converted once per geometry (controller arrival is computed at replay, since the clock ratio varies per config)
+	lines  []uint64  // global line indices
+	meta   []uint64  // packed row/bank/write
 }
 
 func (cp *channelPart) add(cycle, line, meta uint64) {
-	cp.cycles = append(cp.cycles, cycle)
+	cp.cycles = append(cp.cycles, float64(cycle))
 	cp.lines = append(cp.lines, line)
 	cp.meta = append(cp.meta, meta)
 }
@@ -69,7 +69,7 @@ func newTracePartition(channels, capHint int) *tracePartition {
 	if capHint > 0 {
 		for ch := range tp.chans {
 			tp.chans[ch] = channelPart{
-				cycles: make([]uint64, 0, capHint),
+				cycles: make([]float64, 0, capHint),
 				lines:  make([]uint64, 0, capHint),
 				meta:   make([]uint64, 0, capHint),
 			}
@@ -142,7 +142,7 @@ func buildPartition(m *AddressMapper, cycles, addrs []uint64, writes []bool) *tr
 			total += lp.chans[ch].len()
 		}
 		cp := &out.chans[ch]
-		cp.cycles = make([]uint64, 0, total)
+		cp.cycles = make([]float64, 0, total)
 		cp.lines = make([]uint64, 0, total)
 		cp.meta = make([]uint64, 0, total)
 		for _, lp := range locals {

@@ -1,6 +1,9 @@
 package memsim
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // engineState is the per-run mutable state of one channel engine: bank state
 // machines, endurance counters, per-bank byte counters, the controller
@@ -12,8 +15,9 @@ type engineState struct {
 	banks     []bankState
 	rowWrites []uint64 // flattened [bank*rows + row] endurance counters
 	perBank   []uint64 // bytes transferred per bank
-	win       []winReq // controller window ring storage (QueueDepth slots)
-	inflight  []uint64 // completion-time ring storage (QueueDepth slots)
+	win       []winReq // controller window ring storage (QueueDepth rounded up to a power of two)
+	inflight  []uint64 // completion-time ring storage (as win)
+	flatBank  []uint64 // flat-hybrid bank remap table (see channelEngine)
 	cache     dramCache
 }
 
@@ -45,15 +49,16 @@ func acquireEngineState(nb, rows, depth, cacheLines, cacheWays int) *engineState
 		st.perBank = st.perBank[:nb]
 		clear(st.perBank)
 	}
-	if cap(st.win) < depth {
-		st.win = make([]winReq, depth)
+	slots := 1 << bits.Len(uint(depth-1)) // next power of two ≥ depth
+	if cap(st.win) < slots {
+		st.win = make([]winReq, slots)
 	} else {
-		st.win = st.win[:depth]
+		st.win = st.win[:slots]
 	}
-	if cap(st.inflight) < depth {
-		st.inflight = make([]uint64, depth)
+	if cap(st.inflight) < slots {
+		st.inflight = make([]uint64, slots)
 	} else {
-		st.inflight = st.inflight[:depth]
+		st.inflight = st.inflight[:slots]
 	}
 	if cacheLines > 0 {
 		st.cache.init(cacheLines, cacheWays)

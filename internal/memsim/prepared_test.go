@@ -192,31 +192,49 @@ type divergedError struct{}
 func (*divergedError) Error() string { return "concurrent replay diverged" }
 
 // TestRunPreparedAllocBound pins down the sweep hot path's allocation
-// discipline: once the trace's partition is cached and the engine pool is
-// warm, a replay allocates only the result snapshot (Result, per-channel
-// stats, cloned PerBankBytes, goroutine bookkeeping) — a small constant,
-// independent of trace length and far below one allocation per event. The
-// pre-refactor engine allocated the per-channel request queues, bank arrays,
-// and endurance counters on every design point (~megabytes per replay).
+// discipline for every device mode: once the trace's partition is cached and
+// the engine pool is warm, a replay allocates only the result snapshot
+// (Result, per-channel stats, cloned PerBankBytes, goroutine bookkeeping) —
+// a small constant, independent of trace length and far below one
+// allocation per event. The pre-refactor engine allocated the per-channel
+// request queues, bank arrays, and endurance counters on every design point
+// (~megabytes per replay). The bound leaves room for the race detector's
+// sync.Pool, which drops a random share of released states; a channel
+// replay over held state — DRAM cache, its reciprocal and the flat-hybrid
+// bank remap table included — must allocate nothing at all.
 func TestRunPreparedAllocBound(t *testing.T) {
 	events := syntheticTrace(4096, 13)
 	pt, err := Prepare(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := New(NewDRAMConfig(2, 2000, 400))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.RunPrepared(pt); err != nil { // warm partition cache + pool
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := sim.RunPrepared(pt); err != nil {
-			panic(err)
+	names, cases := benchConfigs()
+	for _, name := range names {
+		sim, err := New(cases[name])
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs > 32 {
-		t.Fatalf("RunPrepared allocated %.0f times for %d events; want the constant snapshot cost (<=32)", allocs, len(events))
+		if _, err := sim.RunPrepared(pt); err != nil { // warm partition cache + pool
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := sim.RunPrepared(pt); err != nil {
+				panic(err)
+			}
+		})
+		if allocs > 32 {
+			t.Fatalf("%s: RunPrepared allocated %.0f times for %d events; want the constant snapshot cost (<=32)", name, allocs, len(events))
+		}
+		st := sim.acquireState()
+		part := &pt.partitionFor(sim.mapper).chans[0]
+		ratio := sim.cfg.CtrlFreqMHz / sim.cfg.CPUFreqMHz
+		engine := testing.AllocsPerRun(5, func() {
+			e := newChannelEngine(sim, st)
+			e.run(part, ratio)
+		})
+		releaseEngineState(st)
+		if engine != 0 {
+			t.Fatalf("%s: a channel replay over held engine state allocated %.1f times; want 0", name, engine)
+		}
 	}
 }

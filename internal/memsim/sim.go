@@ -66,11 +66,6 @@ func (s *Simulator) Run(events []trace.Event) (*Result, error) {
 func (s *Simulator) runPartition(part *tracePartition) (*Result, error) {
 	cfg := &s.cfg
 	ratio := cfg.CtrlFreqMHz / cfg.CPUFreqMHz
-	nb := s.mapper.BanksPerChannel()
-	cacheLines, cacheWays := 0, 0
-	if cfg.Type == Hybrid && cfg.HybridMode != HybridFlat {
-		cacheLines, cacheWays = cfg.CacheLines, cfg.CacheWays
-	}
 	stats := make([]ChannelStats, cfg.Channels)
 	hitRates := make([]float64, cfg.Channels)
 	var wg sync.WaitGroup
@@ -78,7 +73,7 @@ func (s *Simulator) runPartition(part *tracePartition) (*Result, error) {
 		wg.Add(1)
 		go func(ch int) {
 			defer wg.Done()
-			st := acquireEngineState(nb, cfg.RowsPerBank, cfg.QueueDepth, cacheLines, cacheWays)
+			st := s.acquireState()
 			eng := newChannelEngine(s, st)
 			eng.run(&part.chans[ch], ratio)
 			eng.snapshot(&stats[ch], &hitRates[ch])
@@ -93,6 +88,17 @@ func (s *Simulator) runPartition(part *tracePartition) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// acquireState draws one channel's pooled engine state, shaped for this
+// simulator's geometry.
+func (s *Simulator) acquireState() *engineState {
+	cfg := &s.cfg
+	cacheLines, cacheWays := 0, 0
+	if cfg.Type == Hybrid && cfg.HybridMode != HybridFlat {
+		cacheLines, cacheWays = cfg.CacheLines, cfg.CacheWays
+	}
+	return acquireEngineState(s.mapper.BanksPerChannel(), cfg.RowsPerBank, cfg.QueueDepth, cacheLines, cacheWays)
 }
 
 func (s *Simulator) assemble(stats []ChannelStats, hitRates []float64) *Result {
