@@ -14,6 +14,7 @@ package graphdse
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -106,7 +107,7 @@ func BenchmarkTable1Training(b *testing.B) {
 	models := dse.DefaultModels(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table, _, err := dse.TrainAndEvaluate(fixDS, models, 0.2, 7)
+		table, _, err := dse.TrainAndEvaluateContext(context.Background(), fixDS, models, 0.2, 7, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func BenchmarkTable1Training(b *testing.B) {
 func BenchmarkFigure3Prediction(b *testing.B) {
 	fixtures(b)
 	models := dse.DefaultModels(1)
-	_, fig3, err := dse.TrainAndEvaluate(fixDS, models, 0.2, 7)
+	_, fig3, err := dse.TrainAndEvaluateContext(context.Background(), fixDS, models, 0.2, 7, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func BenchmarkRecommendation(b *testing.B) {
 	}
 	rows := dse.BuildFigure2(records)
 	models := dse.DefaultModels(1)
-	table, _, err := dse.TrainAndEvaluate(fixDS, models, 0.2, 7)
+	table, _, err := dse.TrainAndEvaluateContext(context.Background(), fixDS, models, 0.2, 7, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

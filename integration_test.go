@@ -2,6 +2,7 @@ package graphdse
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -131,7 +132,7 @@ func TestPipelineSurrogateAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, _, err := dse.TrainAndEvaluate(ds, dse.DefaultModels(1), 0.2, 7)
+	table, _, err := dse.TrainAndEvaluateContext(context.Background(), ds, dse.DefaultModels(1), 0.2, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,11 +82,27 @@ func TestWorkflowWatchdogCancelsHungSweep(t *testing.T) {
 func TestWorkflowMemBudgetDownshift(t *testing.T) {
 	opts := guardedOpts()
 	opts.Sweep = SweepOptions{Workers: 8}
-	// A 1-byte soft budget is breached by the very first sample, so by the
-	// time the sweep sizes its pool the governor is at max pressure.
+	// A 1-byte soft budget is breached by the very first heap sample.
 	opts.Guard = guard.PipelineOptions{
 		Budget: guard.Budget{HeapSoftBytes: 1, SampleEvery: time.Millisecond},
 	}
+	// The real sampler must escalate while the sweep still has points to
+	// dispatch. Gate every point's start on that escalation, so the first
+	// eight points hold the feed loop until the sampler has ticked, however
+	// fast the replay is; a sampler that never ticks fails the test.
+	var gov *guard.Governor
+	testHookGovernor = func(g *guard.Governor) { gov = g }
+	deadline := time.Now().Add(10 * time.Second)
+	testHookPointStart = func(DesignPoint) {
+		for gov.Pressure() == 0 {
+			if time.Now().After(deadline) {
+				t.Error("heap sampler did not escalate within 10s")
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	defer func() { testHookGovernor, testHookPointStart = nil, nil }()
 	res, err := RunWorkflowContext(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("budgeted workflow failed: %v", err)

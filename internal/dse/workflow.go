@@ -3,7 +3,11 @@ package dse
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"graphdse/internal/guard"
 	"graphdse/internal/memsim"
@@ -173,13 +177,17 @@ func (b beatingSource) Next(batch []trace.Event) (int, error) {
 	return n, err
 }
 
+// testHookGovernor, when non-nil, receives the pipeline's governor before
+// the first stage runs, so tests can signal or await memory pressure.
+var testHookGovernor func(*guard.Governor)
+
 // RunWorkflowContext is RunWorkflow hosted on the guard runtime: each Figure-1
 // stage (workload simulation, trace preparation, sweep, invariant gate,
 // dataset build, train/evaluate, recommend) runs supervised — heartbeat
 // watchdog, per-stage and whole-pipeline deadlines, panic capture — under
-// opts.Guard, with the pipeline's memory governor stepping sweep parallelism
-// down instead of dying. ctx aborts the sweep (which, with a checkpoint
-// configured, stays resumable).
+// opts.Guard, with the pipeline's memory governor stepping sweep and
+// training parallelism down instead of dying. ctx aborts the sweep (which,
+// with a checkpoint configured, stays resumable).
 //
 // The workflow degrades gracefully under sweep failures — it proceeds
 // whenever the survivor count clears opts.Sweep.MinSurvivors after the
@@ -192,6 +200,9 @@ func RunWorkflowContext(ctx context.Context, opts WorkflowOptions) (*WorkflowRes
 	p := guard.NewPipeline(opts.Guard)
 	ctx, stop := p.Start(ctx)
 	defer stop()
+	if testHookGovernor != nil {
+		testHookGovernor(p.Governor())
+	}
 	res := &WorkflowResult{}
 	err := runWorkflowStages(ctx, p, opts, res)
 	res.Supervision = p.Report()
@@ -291,8 +302,11 @@ func runWorkflowStages(ctx context.Context, p *guard.Pipeline, opts WorkflowOpti
 
 	if err := p.Run(ctx, "train", func(ctx context.Context, hb *guard.Heartbeat) error {
 		var err error
-		res.Table1, res.Figure3, err = TrainAndEvaluateContext(ctx, res.Dataset,
-			opts.Models, opts.TestFrac, opts.SplitSeed, hb.Beat)
+		// Training shares the cores, so memory pressure trims its pool the
+		// same way it trims the sweep's.
+		workers := p.Governor().Workers("train", runtime.GOMAXPROCS(0))
+		res.Table1, res.Figure3, err = trainAndEvaluate(ctx, res.Dataset,
+			opts.Models, opts.TestFrac, opts.SplitSeed, hb.Beat, workers)
 		return err
 	}); err != nil {
 		return err
@@ -305,17 +319,38 @@ func runWorkflowStages(ctx context.Context, p *guard.Pipeline, opts WorkflowOpti
 	})
 }
 
-// TrainAndEvaluate fits every model on every metric (min-max scaled, 80/20
-// split per the paper) and returns Table I rows plus Figure 3 series.
-func TrainAndEvaluate(ds *Dataset, models []ModelSpec, testFrac float64, splitSeed int64) ([]ModelPerf, map[string]*Figure3Series, error) {
-	//lint:ignore ctxpropagate documented top-level wrapper: the no-ctx convenience API mints the root context for TrainAndEvaluateContext
-	return TrainAndEvaluateContext(context.Background(), ds, models, testFrac, splitSeed, nil)
+// TrainAndEvaluateContext fits every model on every metric (min-max scaled,
+// 80/20 split per the paper) and returns Table I rows plus Figure 3 series.
+//
+// Concurrent fits: the six per-metric scaled targets and train/test splits
+// are prepared serially, then the metric×model fits run on a pool of
+// runtime.GOMAXPROCS(0) workers, dispatched in table order. Each fit gets a
+// fresh spec.New() and writes its predictions into its own (metric, model)
+// slot; Table I and Figure 3 are assembled from the slots in table order,
+// so the output is bit-identical to a serial loop whatever the pool size or
+// completion order.
+//
+// Supervision: ctx is checked before every fit (the longest uninterruptible
+// unit of training work), and a fit that finishes after ctx is done is
+// discarded. beat, when non-nil, marks a heartbeat after each fit; calls
+// are serialized and stop once ctx is done, so a callback that cancels
+// after N beats sees exactly N. A panicking fit becomes a *PanicError. On
+// failure the error is the one a serial loop would return, that of the
+// lowest failing (metric, model): dispatch stops after the first failure,
+// and every lower fit was already dispatched.
+func TrainAndEvaluateContext(ctx context.Context, ds *Dataset, models []ModelSpec, testFrac float64, splitSeed int64, beat func()) ([]ModelPerf, map[string]*Figure3Series, error) {
+	return trainAndEvaluate(ctx, ds, models, testFrac, splitSeed, beat, runtime.GOMAXPROCS(0))
 }
 
-// TrainAndEvaluateContext is TrainAndEvaluate under supervision: ctx is
-// checked before every model×metric fit (the longest uninterruptible unit of
-// training work) and beat, when non-nil, marks a heartbeat after each fit.
-func TrainAndEvaluateContext(ctx context.Context, ds *Dataset, models []ModelSpec, testFrac float64, splitSeed int64, beat func()) ([]ModelPerf, map[string]*Figure3Series, error) {
+// metricSplit is one metric's scaled train/test split.
+type metricSplit struct {
+	trX, teX [][]float64
+	trY, teY []float64
+}
+
+// trainAndEvaluate is TrainAndEvaluateContext on a pool of the given number
+// of workers (at least one, at most one per fit).
+func trainAndEvaluate(ctx context.Context, ds *Dataset, models []ModelSpec, testFrac float64, splitSeed int64, beat func(), workers int) ([]ModelPerf, map[string]*Figure3Series, error) {
 	if ds.Len() < 5 {
 		return nil, nil, fmt.Errorf("%w: %d rows", ErrNoData, ds.Len())
 	}
@@ -325,9 +360,8 @@ func TrainAndEvaluateContext(ctx context.Context, ds *Dataset, models []ModelSpe
 	if err != nil {
 		return nil, nil, err
 	}
-	var table []ModelPerf
-	fig3 := map[string]*Figure3Series{}
-	for _, metric := range memsim.MetricNames {
+	splits := make([]metricSplit, len(memsim.MetricNames))
+	for mi, metric := range memsim.MetricNames {
 		yRaw, err := ds.Metric(metric)
 		if err != nil {
 			return nil, nil, err
@@ -336,31 +370,108 @@ func TrainAndEvaluateContext(ctx context.Context, ds *Dataset, models []ModelSpe
 		if err := ys.Fit(yRaw); err != nil {
 			return nil, nil, err
 		}
-		y := ys.Transform(yRaw)
-
-		trX, trY, teX, teY, err := ml.TrainTestSplit(X, y, testFrac, splitSeed)
+		s := &splits[mi]
+		s.trX, s.trY, s.teX, s.teY, err = ml.TrainTestSplit(X, ys.Transform(yRaw), testFrac, splitSeed)
 		if err != nil {
 			return nil, nil, err
 		}
-		series := &Figure3Series{Metric: metric, Truth: teY, Pred: map[string][]float64{}}
-		for _, spec := range models {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, fmt.Errorf("dse: training cancelled before %s on %s: %w", spec.Name, metric, context.Cause(ctx))
+	}
+
+	// Fit k trains model k%len(models) on metric k/len(models) and owns
+	// slot k of preds and errs.
+	preds := make([][]float64, len(splits)*len(models))
+	errs := make([]error, len(preds))
+	label := func(k int) string {
+		return models[k%len(models)].Name + " on " + memsim.MetricNames[k/len(models)]
+	}
+	cancelled := func(k int) error {
+		return fmt.Errorf("dse: training cancelled before %s: %w", label(k), context.Cause(ctx))
+	}
+	var beatMu sync.Mutex
+	// finished reports a completed fit to beat unless ctx is done, in which
+	// case the fit is to be discarded.
+	finished := func() bool {
+		beatMu.Lock()
+		defer beatMu.Unlock()
+		if ctx.Err() != nil {
+			return false
+		}
+		if beat != nil {
+			beat()
+		}
+		return true
+	}
+	fit := func(k int) (err error) {
+		if ctx.Err() != nil {
+			return cancelled(k)
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("%s: %w", label(k), &PanicError{Value: r, Stack: debug.Stack()})
 			}
-			m := spec.New()
-			if err := m.Fit(trX, trY); err != nil {
-				return nil, nil, fmt.Errorf("%s on %s: %w", spec.Name, metric, err)
+		}()
+		s := &splits[k/len(models)]
+		m := models[k%len(models)].New()
+		if err := m.Fit(s.trX, s.trY); err != nil {
+			return fmt.Errorf("%s: %w", label(k), err)
+		}
+		if !finished() {
+			return cancelled(k)
+		}
+		preds[k] = ml.PredictBatch(m, s.teX)
+		return nil
+	}
+
+	workers = max(1, min(workers, len(preds)))
+	var failed atomic.Bool
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range jobs {
+				if errs[k] = fit(k); errs[k] != nil {
+					failed.Store(true)
+				}
 			}
-			if beat != nil {
-				beat()
-			}
-			pred := ml.PredictBatch(m, teX)
+		}()
+	}
+dispatch:
+	for k := range preds {
+		if failed.Load() {
+			break
+		}
+		select {
+		case jobs <- k:
+		case <-ctx.Done():
+			errs[k] = cancelled(k)
+			break dispatch
+		}
+	}
+	close(jobs)
+	wg.Wait()
+	// Every fit below the lowest failure ran, so the first error in slot
+	// order is the serial loop's, and with none every slot is filled.
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+
+	var table []ModelPerf
+	fig3 := map[string]*Figure3Series{}
+	for mi, metric := range memsim.MetricNames {
+		s := &splits[mi]
+		series := &Figure3Series{Metric: metric, Truth: s.teY, Pred: map[string][]float64{}}
+		for j, spec := range models {
+			pred := preds[mi*len(models)+j]
 			series.Pred[spec.Name] = pred
 			table = append(table, ModelPerf{
 				Metric: metric,
 				Model:  spec.Name,
-				MSE:    ml.MSE(teY, pred),
-				R2:     ml.R2(teY, pred),
+				MSE:    ml.MSE(s.teY, pred),
+				R2:     ml.R2(s.teY, pred),
 			})
 		}
 		fig3[metric] = series

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -215,7 +216,7 @@ func TestRenderers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table1, fig3, err := TrainAndEvaluate(ds, []ModelSpec{DefaultModels(1)[0]}, 0.2, 1)
+	table1, fig3, err := TrainAndEvaluateContext(context.Background(), ds, []ModelSpec{DefaultModels(1)[0]}, 0.2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestRenderers(t *testing.T) {
 
 func TestTrainAndEvaluateTooFewRows(t *testing.T) {
 	ds := &Dataset{Y: map[string][]float64{}}
-	if _, _, err := TrainAndEvaluate(ds, DefaultModels(1), 0.2, 1); err == nil {
+	if _, _, err := TrainAndEvaluateContext(context.Background(), ds, DefaultModels(1), 0.2, 1, nil); err == nil {
 		t.Fatal("expected error for empty dataset")
 	}
 }
@@ -258,7 +259,7 @@ func TestPlotFigure3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fig3, err := TrainAndEvaluate(ds, DefaultModels(1), 0.25, 1)
+	_, fig3, err := TrainAndEvaluateContext(context.Background(), ds, DefaultModels(1), 0.25, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

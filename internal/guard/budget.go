@@ -38,7 +38,7 @@ func (b Budget) Enabled() bool { return b.HeapSoftBytes > 0 }
 // Downshift records one graceful degradation decision: a resource that was
 // stepped down instead of letting the pipeline die.
 type Downshift struct {
-	// Stage names the consumer that degraded ("sweep", "convert",
+	// Stage names the consumer that degraded ("sweep", "train", "convert",
 	// "governor" for pressure escalations).
 	Stage string
 	// Resource names what was reduced ("workers", "pressure").

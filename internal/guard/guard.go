@@ -14,9 +14,9 @@
 //
 //   - Resource governance (budget.go): a Budget samples the heap against a
 //     soft limit and escalates a pressure level; consumers (the sweep
-//     engine, the trace converter) step their worker counts down under
-//     pressure instead of dying, and every downshift is recorded in the
-//     run report.
+//     engine, the surrogate-training pool, the trace converter) step their
+//     worker counts down under pressure instead of dying, and every
+//     downshift is recorded in the run report.
 //
 //   - A unified error taxonomy (Class): the sweep engine's transient and
 //     panic failures and the artifact layer's corruption sentinels all map
