@@ -8,7 +8,10 @@
 #      daemon, and
 #   4. an SSE event stream held open across the crash resumes with
 #      Last-Event-ID: the merged id sequence is contiguous from 1 and ends
-#      in a terminal done event.
+#      in a terminal done event, and
+#   5. the same spec submitted again under a new ID takes every point from
+#      the records the daemon already holds for that trace (/statusz
+#      record_hits), and its report equals the reference apart from the ID.
 # The Go test suite proves the same contracts in-process
 # (internal/dsed/crash_test.go, crash_stream_test.go); this script proves
 # them for the real binary.
@@ -22,11 +25,11 @@ go build -o "$workdir/dsed" ./cmd/dsed
 # The job: the 26-point reduced space, paced at 100ms/point so the kill
 # lands mid-sweep. TOTAL must match the space below.
 TOTAL=26
-spec() {
-  local delay="$1"
+spec() { # $1=point delay ms [$2=job id]
+  local delay="$1" id="${2:-smoke}"
   cat <<EOF
 {
-  "id": "smoke",
+  "id": "$id",
   "workload": {"vertices": 256, "edge_factor": 8, "seed": 7, "repeats": 1},
   "space": {
     "CPUFreqsMHz": [2000, 6500],
@@ -61,8 +64,13 @@ journal_points() {
     awk '{ distinct++; if ($1 > 1) dup++ } END { print distinct + 0, dup + 0 }'
 }
 
-job_field() { # $1=field -> value of "field": from the status JSON
-  curl -sf "$base/v1/jobs/smoke" | tr ',{}' '\n\n\n' | sed -n "s/.*\"$1\"[[:space:]]*:[[:space:]]*\"\{0,1\}\([^\"]*\)\"\{0,1\}/\1/p" | head -1
+# json_field FIELD -> value of "field": in the JSON on stdin
+json_field() {
+  tr ',{}' '\n\n\n' | sed -n "s/.*\"$1\"[[:space:]]*:[[:space:]]*\"\{0,1\}\([^\"]*\)\"\{0,1\}/\1/p" | head -1
+}
+
+job_field() { # $1=field [$2=job id] -> the field from the job's status
+  curl -sf "$base/v1/jobs/${2:-smoke}" | json_field "$1"
 }
 
 spool="$workdir/spool"
@@ -151,6 +159,28 @@ for _ in $(seq 1 600); do
 done
 [ "$state" = done ] || { echo "FAIL: reference job never finished (state=$state)"; exit 1; }
 curl -sf "$base/v1/jobs/smoke/result" > "$workdir/reference.json"
+
+echo "== phase 3b: the same spec under a new ID reuses the point records =="
+spec 0 smoke-again | curl -sf -o /dev/null -X POST -d @- "$base/v1/jobs"
+for _ in $(seq 1 600); do
+  state=$(job_field state smoke-again)
+  [ "$state" = done ] && break
+  sleep 0.1
+done
+[ "$state" = done ] || { echo "FAIL: repeated job never finished (state=$state)"; exit 1; }
+record_hits=$(curl -sf "$base/statusz" | json_field record_hits)
+survivors=$(job_field survivors smoke-again)
+if [ "${record_hits:-0}" -lt 1 ] || [ "$record_hits" -ne "$survivors" ]; then
+  echo "FAIL: repeated job reused ${record_hits:-0} points, want its $survivors survivors"
+  exit 1
+fi
+curl -sf "$base/v1/jobs/smoke-again/result" | sed 's/^{"id":"smoke-again",/{"id":"smoke",/' > "$workdir/again.json"
+cmp "$workdir/again.json" "$workdir/reference.json" || {
+  echo "FAIL: repeated job's report differs from the reference apart from its ID"
+  exit 1
+}
+echo "repeated job reused $record_hits of $TOTAL points"
+
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" || true
 
@@ -159,4 +189,4 @@ cmp "$workdir/recovered.json" "$workdir/reference.json" || {
   exit 1
 }
 
-echo "PASS: resumed after kill -9 with no lost jobs, no duplicate points, byte-identical report"
+echo "PASS: resumed after kill -9 with no lost jobs, no duplicate points, byte-identical report; a repeated spec reused its point records"

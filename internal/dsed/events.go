@@ -376,17 +376,38 @@ func (st *jobStream) repairLocked(l *EventLog) {
 // evicted immediately. An append error degrades the stream (counted in
 // Stats().Errors), never the job.
 func (l *EventLog) Emit(job string, ev Event) error {
+	return l.EmitBatch(job, []Event{ev})
+}
+
+// EmitBatch journals evs for job in order exactly as Emit would one at a
+// time — consecutive sequence numbers, one frame each — but with a single
+// append and a single fsync for the run (a group commit). Nothing of the
+// run is published before all of it is durable; a failed append leaves
+// none of it in the journal. It sets each event's Job and Seq in evs.
+func (l *EventLog) EmitBatch(job string, evs []Event) error {
+	if len(evs) == 0 {
+		return nil
+	}
 	st := l.stream(job)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.replayLocked(l)
 
-	ev.Job = job
-	ev.Seq = st.next
-	data, err := encodeEvent(&ev)
-	if err != nil {
-		l.errors.Add(1)
-		return fmt.Errorf("dsed: encode event: %w", err)
+	var data []byte
+	for i := range evs {
+		ev := &evs[i]
+		ev.Job = job
+		ev.Seq = st.next + uint64(i)
+		frame, err := encodeEvent(ev)
+		if err != nil {
+			l.errors.Add(1)
+			return fmt.Errorf("dsed: encode event: %w", err)
+		}
+		if i == 0 {
+			data = frame
+		} else {
+			data = append(data, frame...)
+		}
 	}
 	if st.f == nil {
 		f, oerr := l.fs.OpenFile(st.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -411,24 +432,28 @@ func (l *EventLog) Emit(job string, ev Event) error {
 	}
 	l.observeWrite(nil)
 	st.size += int64(len(data))
-	st.next++
-	l.written.Add(1)
+	st.next += uint64(len(evs))
+	l.written.Add(int64(len(evs)))
 
 	// Durable → observable. Never block on a subscriber: a full buffer
 	// means the consumer has fallen a whole window behind, and the journal
 	// it can resume from is already complete.
 	for sub := range st.subs {
-		select {
-		case sub.ch <- ev:
-		default:
-			delete(st.subs, sub)
-			close(sub.evicted)
-			l.evictions.Add(1)
-			l.subscribers.Add(-1)
+	deliver:
+		for _, ev := range evs {
+			select {
+			case sub.ch <- ev:
+			default:
+				delete(st.subs, sub)
+				close(sub.evicted)
+				l.evictions.Add(1)
+				l.subscribers.Add(-1)
+				break deliver
+			}
 		}
 	}
 
-	if ev.Terminal() {
+	if evs[len(evs)-1].Terminal() {
 		st.f.Close()
 		st.f = nil
 	}

@@ -1,10 +1,14 @@
 package dsed
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
+
+	"graphdse/internal/artifact"
 )
 
 // drainEvents collects everything currently buffered on a subscriber.
@@ -294,5 +298,142 @@ func TestSubscribeNeverReplaysAnotherJobsJournal(t *testing.T) {
 	}
 	if backlog := mustBacklog(t, q.events, "x.snap", 0); len(backlog) != 1 || backlog[0].Job != "x.snap" {
 		t.Fatalf("job x.snap backlog: %+v", backlog)
+	}
+}
+
+// syncCountFS counts File.Sync calls per path on files opened through
+// OpenFile (journal appends; atomic writes go through CreateTemp).
+type syncCountFS struct {
+	artifact.FS
+
+	mu sync.Mutex
+	n  map[string]int // guarded by mu
+}
+
+func (c *syncCountFS) OpenFile(name string, flag int, perm os.FileMode) (artifact.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &syncCountFile{File: f, fs: c, name: name}, nil
+}
+
+func (c *syncCountFS) syncs(name string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[name]
+}
+
+type syncCountFile struct {
+	artifact.File
+	fs   *syncCountFS
+	name string
+}
+
+func (f *syncCountFile) Sync() error {
+	f.fs.mu.Lock()
+	if f.fs.n == nil {
+		f.fs.n = map[string]int{}
+	}
+	f.fs.n[f.name]++
+	f.fs.mu.Unlock()
+	return f.File.Sync()
+}
+
+func batchTestEvents() []Event {
+	return []Event{
+		{Type: EventProgress, Done: 0, Total: 3},
+		{Type: EventFailure, Point: "p1", Class: "timeout", Attempts: 2, Error: "deadline"},
+		{Type: EventProgress, Done: 1, Total: 3, Record: []byte(`{"id":"p1"}`)},
+		{Type: EventProgress, Done: 2, Total: 3, Record: []byte(`{"id":"p2"}`)},
+		{Type: EventProgress, Done: 3, Total: 3, Record: []byte(`{"id":"p3"}`)},
+	}
+}
+
+// TestEventLogEmitBatchMatchesEmit: a group commit journals exactly the
+// frames one Emit per event would, with one fsync per run, and publishes
+// the run in order once it is durable.
+func TestEventLogEmitBatchMatchesEmit(t *testing.T) {
+	oneDir := t.TempDir()
+	one := NewEventLog(oneDir, 8)
+	for _, ev := range batchTestEvents() {
+		if err := one.Emit("j", ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fsys := &syncCountFS{FS: artifact.OS}
+	batchDir := t.TempDir()
+	batch := NewEventLogFS(fsys, batchDir, 8)
+	sub, _, err := batch.Subscribe("j", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer batch.Unsubscribe(sub)
+	evs := batchTestEvents()
+	if err := batch.EmitBatch("j", evs[:3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.EmitBatch("j", evs[3:]); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := os.ReadFile(filepath.Join(oneDir, "j.jsonl"))
+	got, _ := os.ReadFile(filepath.Join(batchDir, "j.jsonl"))
+	if len(want) == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("group-committed journal differs:\n%s\nvs one Emit per event:\n%s", got, want)
+	}
+	if n := fsys.syncs(filepath.Join(batchDir, "j.jsonl")); n != 2 {
+		t.Fatalf("%d fsyncs for two group commits", n)
+	}
+	live := drainEvents(sub)
+	if len(live) != len(evs) {
+		t.Fatalf("published %d events, want %d", len(live), len(evs))
+	}
+	for i, ev := range live {
+		if ev.Seq != uint64(i+1) || ev.Type != evs[i].Type || ev.Done != evs[i].Done {
+			t.Fatalf("published[%d] = %+v, want seq %d %+v", i, ev, i+1, evs[i])
+		}
+	}
+	if st := batch.Stats(); st.Written != int64(len(evs)) {
+		t.Fatalf("written %d events, want %d", st.Written, len(evs))
+	}
+}
+
+// TestEventLogEmitBatchFailureLeavesNothing: a run whose fsync fails is cut
+// back off the journal whole and never published; the next run continues
+// the sequence where the durable journal ends.
+func TestEventLogEmitBatchFailureLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	ffs := artifact.NewFaultFS(nil)
+	l := NewEventLogFS(ffs, dir, 8)
+	if err := l.Emit("j", Event{Type: EventState, State: StateRunning}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "j.jsonl")
+	before, _ := os.ReadFile(path)
+	sub, _, err := l.Subscribe("j", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Unsubscribe(sub)
+	ffs.FailSyncs(nil, 0)
+	if err := l.EmitBatch("j", batchTestEvents()); err == nil {
+		t.Fatal("group commit with a failing fsync succeeded")
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatalf("failed group commit left bytes behind:\n%s", after[len(before):])
+	}
+	if evs := drainEvents(sub); len(evs) != 0 {
+		t.Fatalf("failed group commit published %+v", evs)
+	}
+	ffs.Clear()
+	if err := l.EmitBatch("j", batchTestEvents()[:2]); err != nil {
+		t.Fatal(err)
+	}
+	evs := drainEvents(sub)
+	if len(evs) != 2 || evs[0].Seq != 2 || evs[1].Seq != 3 {
+		t.Fatalf("after the failed run: %+v, want seqs 2 and 3", evs)
+	}
+	if err := l.EmitBatch("j", nil); err != nil {
+		t.Fatalf("empty run: %v", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -561,20 +562,35 @@ func (q *Queue) Next(ctx context.Context) (JobRecord, error) {
 // did). The append is best-effort: a lost record only means that point
 // re-runs on resume.
 func (q *Queue) Progress(id string, done, total int, record []byte) {
+	q.journalPoints(id, []Event{{Type: EventProgress, Done: done, Total: total, Record: record}})
+}
+
+// journalPoints is Progress for a run of point events — progress events in
+// done order, each failed point's failure-log entry just before its
+// progress event — journaled in one group commit. The job's counters take
+// the last progress event's. Progress events are journaled only while the
+// job is running.
+func (q *Queue) journalPoints(id string, evs []Event) {
 	q.mu.Lock()
 	rec, ok := q.jobs[id]
 	running := ok && rec.State == StateRunning
 	if running {
-		rec.Done, rec.Total = done, total
+		for i := len(evs) - 1; i >= 0; i-- {
+			if evs[i].Type == EventProgress {
+				rec.Done, rec.Total = evs[i].Done, evs[i].Total
+				break
+			}
+		}
 	}
 	q.mu.Unlock()
+	if !running {
+		evs = slices.DeleteFunc(evs, func(ev Event) bool { return ev.Type == EventProgress })
+	}
 	// Emitted outside q.mu: progress is the hot path, and its journal fsync
 	// must not serialize queue operations. Ordering versus the terminal
 	// transition is safe because Finalize runs strictly after the sweep —
-	// and therefore after every Progress call — completes.
-	if running {
-		q.emit(id, Event{Type: EventProgress, Done: done, Total: total, Record: record})
-	}
+	// and therefore after every point is journaled — completes.
+	_ = q.events.EmitBatch(id, evs)
 }
 
 // Finalize moves a job to a terminal state and journals it. For StateDone

@@ -11,7 +11,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"graphdse/internal/dse"
@@ -58,8 +57,11 @@ type Scheduler struct {
 	opts  SchedulerOptions
 
 	mu sync.Mutex
-	// cancels is guarded by mu.
+	// cancels and early are guarded by mu. early marks running jobs whose
+	// cancel arrived after Queue.Next handed them out but before runJob
+	// registered their cancel func; runJob applies it on registration.
 	cancels map[string]context.CancelCauseFunc
+	early   map[string]bool
 }
 
 // NewScheduler wires the fleet to its queue, trace cache, and governor
@@ -72,6 +74,7 @@ func NewScheduler(q *Queue, cache *TraceCache, gov *guard.Governor, opts Schedul
 		gov:     gov,
 		opts:    opts,
 		cancels: map[string]context.CancelCauseFunc{},
+		early:   map[string]bool{},
 	}
 }
 
@@ -109,12 +112,21 @@ func (s *Scheduler) Cancel(id string) error {
 	}
 	s.mu.Lock()
 	cancel, ok := s.cancels[id]
-	s.mu.Unlock()
 	if !ok {
-		// Raced with completion; surface the terminal state as-is.
+		// Either runJob has not registered the job yet, or it has just
+		// finished: mark it, and drop the mark if it has finished.
+		s.early[id] = true
+	}
+	s.mu.Unlock()
+	if ok {
+		cancel(errJobCancelled)
 		return nil
 	}
-	cancel(errJobCancelled)
+	if rec, err := s.q.Get(id); err == nil && rec.State.Terminal() {
+		s.mu.Lock()
+		delete(s.early, id)
+		s.mu.Unlock()
+	}
 	return nil
 }
 
@@ -128,6 +140,10 @@ func (s *Scheduler) runJob(parent context.Context, rec JobRecord) {
 	defer cancel(nil)
 	s.mu.Lock()
 	s.cancels[id] = cancel
+	if s.early[id] {
+		delete(s.early, id)
+		cancel(errJobCancelled)
+	}
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
@@ -166,13 +182,14 @@ func (s *Scheduler) runJob(parent context.Context, rec JobRecord) {
 // returned state means "daemon is shutting down — do not finalize".
 func (s *Scheduler) executeJob(ctx context.Context, rec *JobRecord) (state JobState, errMsg string, survivors, quarantined int) {
 	id := rec.Spec.ID
-	pt, err := s.loadTrace(ctx, &rec.Spec)
+	entry, err := s.loadTrace(ctx, &rec.Spec)
 	if err != nil {
 		if outcome, msg := interruptOutcome(ctx); outcome != StateRunning {
 			return outcome, msg, 0, 0
 		}
 		return StateFailed, fmt.Sprintf("trace: %v", err), 0, 0
 	}
+	pt := entry.pt
 
 	var space dse.SpaceParams
 	if rec.Spec.Space != nil {
@@ -185,20 +202,57 @@ func (s *Scheduler) executeJob(ctx context.Context, rec *JobRecord) (state JobSt
 	if err != nil {
 		return StateFailed, fmt.Sprintf("journal: %v", err), 0, 0
 	}
+	var faults *dse.FaultInjector
+	if rec.Spec.FailureRate > 0 {
+		faults = dse.PaperFaults(rec.Spec.FailureRate, rec.Spec.FailureSeed)
+	}
+	s.q.Progress(id, len(have), len(points), nil)
+	journal := s.startPointJournal(id, len(have), len(points))
+	defer journal.close()
+	// onRecord receives every terminal record, swept or reused, and hands it
+	// to the job's journal writer. A record cut short by cancellation is
+	// not terminal: it stays out of the journal so resume re-runs the
+	// point. Only points this job's injector leaves healthy feed the
+	// trace's point records, so injected faults never leak into another
+	// job.
+	onRecord := func(r dse.RunRecord) {
+		if faults.Decide(r.Point, 1) == dse.FaultNone {
+			entry.records.store(r)
+		}
+		if !r.Skipped && !errors.Is(r.Err, context.Canceled) {
+			journal.add(r)
+		}
+		if d := rec.Spec.PointDelayMS; d > 0 {
+			time.Sleep(time.Duration(d) * time.Millisecond)
+		}
+	}
+
+	// Reuse: a point the journal lacks takes the record an earlier sweep
+	// on this trace produced, unless this job injects a fault into it.
 	records := make([]dse.RunRecord, len(points))
 	var missing []dse.DesignPoint
 	var slots []int // slots[k] is missing[k]'s index in points
+	reused := 0
 	for i, p := range points {
 		if r, ok := have[p.ID()]; ok {
 			records[i] = r
-		} else {
-			missing = append(missing, p)
-			slots = append(slots, i)
+			continue
 		}
+		if faults.Decide(p, 1) == dse.FaultNone {
+			if r, ok := entry.records.lookup(p); ok {
+				if outcome, msg := interruptOutcome(ctx); outcome != StateRunning {
+					return outcome, msg, 0, 0
+				}
+				records[i] = r
+				onRecord(r)
+				reused++
+				continue
+			}
+		}
+		missing = append(missing, p)
+		slots = append(slots, i)
 	}
-	var done atomic.Int64
-	done.Store(int64(len(have)))
-	s.q.Progress(id, len(have), len(points), nil)
+	s.opts.Logf("dsed: job %s: reused %d of %d points", id, reused, len(points))
 
 	if len(missing) > 0 {
 		so := dse.SweepOptions{
@@ -206,19 +260,8 @@ func (s *Scheduler) executeJob(ctx context.Context, rec *JobRecord) (state JobSt
 			Timeout:  time.Duration(rec.Spec.PointTimeoutMS) * time.Millisecond,
 			Retries:  rec.Spec.Retries,
 			Governor: s.gov,
-			// A record cut short by cancellation is not terminal: it stays
-			// out of the journal so resume re-runs the point.
-			OnRecord: func(r dse.RunRecord) {
-				if !r.Skipped && !errors.Is(r.Err, context.Canceled) {
-					s.journalPoint(id, r, int(done.Add(1)), len(points))
-				}
-				if d := rec.Spec.PointDelayMS; d > 0 {
-					time.Sleep(time.Duration(d) * time.Millisecond)
-				}
-			},
-		}
-		if rec.Spec.FailureRate > 0 {
-			so.Faults = dse.PaperFaults(rec.Spec.FailureRate, rec.Spec.FailureSeed)
+			Faults:   faults,
+			OnRecord: onRecord,
 		}
 		// MinSurvivors stays 0: survivorship is judged on the merged set
 		// below, so a subset in which every point failed is not an error.
@@ -233,6 +276,9 @@ func (s *Scheduler) executeJob(ctx context.Context, rec *JobRecord) (state JobSt
 			records[slots[k]] = r
 		}
 	}
+	// Every record is journaled before the result is sealed, so a done
+	// job's journal holds all of its points.
+	journal.close()
 	sweepErr := dse.CheckSurvivors(records, rec.Spec.MinSurvivors)
 	if errors.Is(sweepErr, dse.ErrAllFailed) {
 		return StateFailed, fmt.Sprintf("sweep: %v", sweepErr), 0, 0
@@ -275,10 +321,77 @@ func (s *Scheduler) executeJob(ctx context.Context, rec *JobRecord) (state JobSt
 	return StateDone, "", gate.Survivors, gate.Quarantined
 }
 
-// journalPoint journals one point's terminal record on a progress event,
-// preceded by its failure-log entry when it failed. An unencodable record
-// is journaled without its line, so the point re-runs on resume.
-func (s *Scheduler) journalPoint(id string, r dse.RunRecord, done, total int) {
+// maxJournalBatch caps the events one group commit of a job's point
+// journal carries, well inside a subscriber's default delivery buffer.
+const maxJournalBatch = 16
+
+// pointJournal journals a job's terminal point records in done order on
+// its own goroutine. A sweep worker hands a record over and goes on to the
+// next point instead of waiting for the journal's fsync, and records that
+// arrive while an append is in flight — reused records arrive all at once
+// — share the next append and fsync (up to maxJournalBatch events).
+type pointJournal struct {
+	s         *Scheduler
+	id        string
+	done      int // points journaled so far; owned by run
+	total     int
+	recs      chan dse.RunRecord
+	finished  chan struct{}
+	closeOnce sync.Once
+}
+
+// startPointJournal starts job id's journal writer; done points are
+// already journaled.
+func (s *Scheduler) startPointJournal(id string, done, total int) *pointJournal {
+	j := &pointJournal{
+		s:     s,
+		id:    id,
+		done:  done,
+		total: total,
+		// Each point yields at most one terminal record, so add never
+		// blocks.
+		recs:     make(chan dse.RunRecord, max(total-done, 1)),
+		finished: make(chan struct{}),
+	}
+	go j.run()
+	return j
+}
+
+// add queues one terminal record for the journal.
+func (j *pointJournal) add(r dse.RunRecord) { j.recs <- r }
+
+// close returns once every added record is journaled and the writer has
+// exited. It is idempotent.
+func (j *pointJournal) close() {
+	j.closeOnce.Do(func() { close(j.recs) })
+	<-j.finished
+}
+
+func (j *pointJournal) run() {
+	defer close(j.finished)
+	var evs []Event
+	for r := range j.recs {
+		evs = j.appendPoint(evs[:0], r)
+	batch:
+		for len(evs) < maxJournalBatch {
+			select {
+			case r, ok := <-j.recs:
+				if !ok {
+					break batch
+				}
+				evs = j.appendPoint(evs, r)
+			default:
+				break batch
+			}
+		}
+		j.s.q.journalPoints(j.id, evs)
+	}
+}
+
+// appendPoint appends one point's events: its failure-log entry when it
+// failed, then its progress event carrying the record. An unencodable
+// record is journaled without its line, so the point re-runs on resume.
+func (j *pointJournal) appendPoint(evs []Event, r dse.RunRecord) []Event {
 	if r.Failed {
 		ev := Event{
 			Type:     EventFailure,
@@ -289,10 +402,11 @@ func (s *Scheduler) journalPoint(id string, r dse.RunRecord, done, total int) {
 		if r.Err != nil {
 			ev.Error = r.Err.Error()
 		}
-		s.q.emit(id, ev)
+		evs = append(evs, ev)
 	}
 	line, _ := dse.EncodeRecord(r)
-	s.q.Progress(id, done, total, line)
+	j.done++
+	return append(evs, Event{Type: EventProgress, Done: j.done, Total: j.total, Record: line})
 }
 
 // journaledRecords decodes the point records job id's journal holds, keyed
@@ -380,11 +494,12 @@ func (s *Scheduler) sweepWorkers(requested int) int {
 	return w
 }
 
-// loadTrace resolves the job's trace through the content-addressed cache.
-func (s *Scheduler) loadTrace(ctx context.Context, spec *JobSpec) (*memsim.PreparedTrace, error) {
+// loadTrace resolves the job's trace through the content-addressed cache;
+// the entry carries the trace and its point records.
+func (s *Scheduler) loadTrace(ctx context.Context, spec *JobSpec) (*cacheEntry, error) {
 	if w := spec.Workload; w != nil {
 		key := fmt.Sprintf("workload:v%d:ef%d:s%d:r%d", w.Vertices, w.EdgeFactor, w.Seed, w.Repeats)
-		return s.cache.Get(ctx, key, func(ctx context.Context) (*memsim.PreparedTrace, error) {
+		return s.cache.get(ctx, key, func(ctx context.Context) (*memsim.PreparedTrace, error) {
 			return synthesizeWorkload(ctx, w)
 		})
 	}
@@ -393,7 +508,7 @@ func (s *Scheduler) loadTrace(ctx context.Context, spec *JobSpec) (*memsim.Prepa
 		return nil, err
 	}
 	path := spec.TracePath
-	return s.cache.Get(ctx, key, func(ctx context.Context) (*memsim.PreparedTrace, error) {
+	return s.cache.get(ctx, key, func(ctx context.Context) (*memsim.PreparedTrace, error) {
 		return decodeTraceFile(ctx, path)
 	})
 }

@@ -283,3 +283,78 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("statusz: %+v err=%v", sz, err)
 	}
 }
+
+// TestProgressDoneCountsInOrder: with several sweep workers finishing
+// points at once, a job's progress events still count 1, 2, …, total in
+// journal order, and its final counters read total of total.
+func TestProgressDoneCountsInOrder(t *testing.T) {
+	q, err := OpenQueue(t.TempDir(), QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	for i := 0; i < 8; i++ {
+		spec := workloadSpec(fmt.Sprint("p", i), "")
+		spec.Space = smallSpace()
+		if _, _, err := q.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		// A fresh trace cache per job, so every point is swept.
+		s := NewScheduler(q, NewTraceCache(1), nil, SchedulerOptions{JobWorkers: 1, SweepWorkers: 4})
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		rec, err := q.Next(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.runJob(context.Background(), rec)
+		want := 0
+		for _, ev := range q.events.History(spec.ID) {
+			if ev.Type != EventProgress || len(ev.Record) == 0 {
+				continue
+			}
+			if want++; ev.Done != want {
+				t.Fatalf("job %s: progress event %d carries done %d", spec.ID, want, ev.Done)
+			}
+		}
+		got, err := q.Get(spec.ID)
+		if err != nil || got.State != StateDone || got.Done != got.Total || want != got.Total {
+			t.Fatalf("job %s: %+v after %d point events (err %v)", spec.ID, got, want, err)
+		}
+	}
+}
+
+// TestCancelBeforeRunJobRegisters: a cancel that lands after Queue.Next has
+// marked the job running but before runJob has registered its cancel func
+// still cancels the job.
+func TestCancelBeforeRunJobRegisters(t *testing.T) {
+	q, err := OpenQueue(t.TempDir(), QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	spec := workloadSpec("early", "")
+	spec.Space = smallSpace()
+	if _, _, err := q.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	s := NewScheduler(q, NewTraceCache(1), nil, SchedulerOptions{JobWorkers: 1, SweepWorkers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	rec, err := q.Next(ctx)
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Cancel(spec.ID); err != nil {
+		t.Fatal(err)
+	}
+	s.runJob(context.Background(), rec)
+	if got, err := q.Get(spec.ID); err != nil || got.State != StateCancelled {
+		t.Fatalf("job cancelled before registration ended %+v (err %v)", got, err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.early) != 0 {
+		t.Fatalf("early cancels left behind: %v", s.early)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"graphdse/internal/dse"
 	"graphdse/internal/memsim"
 )
 
@@ -16,6 +17,8 @@ import (
 // decoded arrays); every hit re-verifies it, and a mismatch — in-memory
 // corruption of a structure shared by every job on the box — evicts the
 // entry and re-decodes from the source of truth instead of failing the job.
+// Each entry also keeps the successful point records sweeps on its trace
+// have produced (see pointRecords), so they are evicted with the trace.
 type TraceCache struct {
 	mu sync.Mutex
 	// entries is guarded by mu.
@@ -30,11 +33,63 @@ type TraceCache struct {
 // cacheEntry is one in-flight or completed decode. ready is closed when pt
 // and err are final; gen orders entries for LRU eviction.
 type cacheEntry struct {
-	ready chan struct{}
-	pt    *memsim.PreparedTrace
-	crc   uint32
-	err   error
-	gen   uint64
+	ready   chan struct{}
+	pt      *memsim.PreparedTrace
+	crc     uint32
+	err     error
+	gen     uint64
+	records pointRecords
+}
+
+// maxPointRecords caps the point records one cached trace keeps: four
+// full paper spaces. A full set stores nothing more.
+const maxPointRecords = 4 * 416
+
+// pointRecords is one cached trace's set of successful point records,
+// keyed by the full design point (not its ID, which rounds DRAMFraction to
+// two decimals). Replay is deterministic in (trace, point), so a job may
+// take a record from here instead of replaying the point.
+type pointRecords struct {
+	mu sync.Mutex
+	// recs, hits and misses are guarded by mu.
+	recs         map[dse.DesignPoint]dse.RunRecord
+	hits, misses int64
+}
+
+// lookup returns the record held for p, counting a hit or a miss.
+func (pr *pointRecords) lookup(p dse.DesignPoint) (dse.RunRecord, bool) {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	r, ok := pr.recs[p]
+	if ok {
+		pr.hits++
+	} else {
+		pr.misses++
+	}
+	return r, ok
+}
+
+// store keeps r when it is a first-attempt success and the set has room.
+func (pr *pointRecords) store(r dse.RunRecord) {
+	if r.Failed || r.Result == nil || r.Attempts != 1 {
+		return
+	}
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	if len(pr.recs) >= maxPointRecords {
+		return
+	}
+	if pr.recs == nil {
+		pr.recs = make(map[dse.DesignPoint]dse.RunRecord)
+	}
+	pr.recs[r.Point] = r
+}
+
+// stats reports how many records the set holds and its lookup counters.
+func (pr *pointRecords) stats() (entries int, hits, misses int64) {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	return len(pr.recs), pr.hits, pr.misses
 }
 
 var cacheGen atomic.Uint64
@@ -53,7 +108,9 @@ func NewTraceCache(maxEntries int) *TraceCache {
 // aggregate the geometry-keyed partition caches living inside the cached
 // PreparedTraces: partition hits are sweep points that skipped address
 // mapping entirely because a concurrent (or earlier) job already routed the
-// trace for that geometry.
+// trace for that geometry. The record counters aggregate the cached
+// traces' point records the same way: record hits are points a job took
+// from a record instead of replaying them.
 type CacheStats struct {
 	Entries          int   `json:"entries"`
 	Hits             int64 `json:"hits"`
@@ -62,14 +119,17 @@ type CacheStats struct {
 	PartitionEntries int   `json:"partition_entries"`
 	PartitionHits    int64 `json:"partition_hits"`
 	PartitionMisses  int64 `json:"partition_misses"`
+	RecordEntries    int   `json:"record_entries"`
+	RecordHits       int64 `json:"record_hits"`
+	RecordMisses     int64 `json:"record_misses"`
 }
 
 // Stats snapshots the counters.
 func (c *TraceCache) Stats() CacheStats {
 	c.mu.Lock()
 	n := len(c.entries)
-	var pEntries int
-	var pHits, pMisses int64
+	var pEntries, rEntries int
+	var pHits, pMisses, rHits, rMisses int64
 	for _, e := range c.entries {
 		select {
 		case <-e.ready:
@@ -83,6 +143,10 @@ func (c *TraceCache) Stats() CacheStats {
 		pEntries += ps.Entries
 		pHits += int64(ps.Hits)
 		pMisses += int64(ps.Misses)
+		n, h, m := e.records.stats()
+		rEntries += n
+		rHits += h
+		rMisses += m
 	}
 	c.mu.Unlock()
 	return CacheStats{
@@ -93,6 +157,9 @@ func (c *TraceCache) Stats() CacheStats {
 		PartitionEntries: pEntries,
 		PartitionHits:    pHits,
 		PartitionMisses:  pMisses,
+		RecordEntries:    rEntries,
+		RecordHits:       rHits,
+		RecordMisses:     rMisses,
 	}
 }
 
@@ -105,6 +172,16 @@ func (c *TraceCache) Stats() CacheStats {
 // having been "fixed" by the second decode, which is indistinguishable from
 // a fresh load).
 func (c *TraceCache) Get(ctx context.Context, key string, load func(context.Context) (*memsim.PreparedTrace, error)) (*memsim.PreparedTrace, error) {
+	e, err := c.get(ctx, key, load)
+	if err != nil {
+		return nil, err
+	}
+	return e.pt, nil
+}
+
+// get is Get returning the whole entry, so the caller also reaches the
+// trace's point records.
+func (c *TraceCache) get(ctx context.Context, key string, load func(context.Context) (*memsim.PreparedTrace, error)) (*cacheEntry, error) {
 	for {
 		c.mu.Lock()
 		e, ok := c.entries[key]
@@ -134,7 +211,7 @@ func (c *TraceCache) Get(ctx context.Context, key string, load func(context.Cont
 				c.mu.Unlock()
 				return nil, err
 			}
-			return pt, nil
+			return e, nil
 		}
 		e.gen = cacheGen.Add(1)
 		c.mu.Unlock()
@@ -166,7 +243,7 @@ func (c *TraceCache) Get(ctx context.Context, key string, load func(context.Cont
 			continue
 		}
 		c.hits.Add(1)
-		return e.pt, nil
+		return e, nil
 	}
 }
 

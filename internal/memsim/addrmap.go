@@ -62,6 +62,19 @@ func NewAddressMapper(c *Config) *AddressMapper {
 	}
 }
 
+// channelBlockLines is the lines per channel block of MapChannelBlocked.
+const channelBlockLines = 1 << 16
+
+// channelOf returns Map(addr).Channel without the rest of the
+// decomposition.
+func (m *AddressMapper) channelOf(addr uint64) int {
+	line := addr / uint64(m.lineBytes)
+	if m.scheme == MapChannelBlocked {
+		return int((line / channelBlockLines) % uint64(m.channels))
+	}
+	return int((line / uint64(m.colLow)) % uint64(m.channels))
+}
+
 // Map decodes a byte address.
 func (m *AddressMapper) Map(addr uint64) Location {
 	line := addr / uint64(m.lineBytes)
@@ -69,8 +82,7 @@ func (m *AddressMapper) Map(addr uint64) Location {
 		// 4 MiB blocks per channel: channel from high bits, the rest of the
 		// decomposition as in the interleaved scheme but without a channel
 		// level.
-		const blockLines = 1 << 16
-		ch := int((line / blockLines) % uint64(m.channels))
+		ch := int((line / channelBlockLines) % uint64(m.channels))
 		rest := line / uint64(m.colLow)
 		rest /= uint64(m.cols / m.colLow)
 		bank := int(rest % uint64(m.banks))

@@ -154,8 +154,24 @@ func buildPartition(m *AddressMapper, cycles, addrs []uint64, writes []bool) *tr
 	return out
 }
 
+// buildPartitionSerial is the reference builder, and the one small traces
+// use. A first pass counts each channel's events, so every channel's
+// slices are allocated at exactly their final length: a cached partition
+// lives as long as its trace, and a capacity guess would keep its slack
+// (or the copy that trims it) for that long.
 func buildPartitionSerial(m *AddressMapper, cycles, addrs []uint64, writes []bool) *tracePartition {
-	tp := newTracePartition(m.channels, partitionCapHint(len(cycles), m.channels))
+	counts := make([]int, m.channels)
+	for _, a := range addrs {
+		counts[m.channelOf(a)]++
+	}
+	tp := &tracePartition{chans: make([]channelPart, m.channels)}
+	for ch, n := range counts {
+		tp.chans[ch] = channelPart{
+			cycles: make([]float64, 0, n),
+			lines:  make([]uint64, 0, n),
+			meta:   make([]uint64, 0, n),
+		}
+	}
 	for i := range cycles {
 		tp.route(m, cycles[i], addrs[i], writes[i])
 	}

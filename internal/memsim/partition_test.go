@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -87,5 +88,68 @@ func TestMetaPackingBounds(t *testing.T) {
 	banks.BanksPerRank = 1 << 12
 	if err := banks.Validate(); err == nil {
 		t.Fatal("ranks×banks beyond 2^23 must be rejected")
+	}
+}
+
+// TestPartitionExactSize: both builders leave every channel's slices at
+// exactly their length, since a cached partition lives as long as its trace.
+func TestPartitionExactSize(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	// The short trace takes buildPartition's serial branch, the long one
+	// its chunked branch.
+	for _, n := range []int{4096, partitionParallelMin + 12345} {
+		pt, err := Prepare(syntheticTrace(n, 31))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, channels := range []int{1, 2, 4} {
+			cfg := NewDRAMConfig(channels, 2000, 666)
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			m := NewAddressMapper(&cfg)
+			builders := map[string]*tracePartition{
+				"buildPartitionSerial": buildPartitionSerial(m, pt.cycles, pt.addrs, pt.writes),
+				"buildPartition":       buildPartition(m, pt.cycles, pt.addrs, pt.writes),
+			}
+			for name, tp := range builders {
+				total := 0
+				for ch, cp := range tp.chans {
+					l := cp.len()
+					total += l
+					if cap(cp.cycles) != l || cap(cp.lines) != l || cap(cp.meta) != l ||
+						len(cp.lines) != l || len(cp.meta) != l {
+						t.Fatalf("%s, %d events, %d channels, channel %d: len %d, caps %d/%d/%d",
+							name, n, channels, ch, l, cap(cp.cycles), cap(cp.lines), cap(cp.meta))
+					}
+				}
+				if total != n {
+					t.Fatalf("%s, %d channels: %d events routed, want %d", name, channels, total, n)
+				}
+			}
+		}
+	}
+}
+
+// TestChannelOfMatchesMap: the serial builder's counting pass agrees with
+// Map on every address, for both mapping schemes, channel counts that are
+// and are not powers of two, and addresses past 2^32.
+func TestChannelOfMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, scheme := range []MappingScheme{MapRowInterleaved, MapChannelBlocked} {
+		for _, channels := range []int{1, 2, 3, 4, 8} {
+			cfg := NewDRAMConfig(channels, 2000, 666)
+			cfg.Mapping = scheme
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			m := NewAddressMapper(&cfg)
+			for i := 0; i < 20000; i++ {
+				addr := rng.Uint64() >> uint(rng.Intn(40))
+				if got, want := m.channelOf(addr), m.Map(addr).Channel; got != want {
+					t.Fatalf("%v, %d channels, addr %#x: channelOf %d, Map %d", scheme, channels, addr, got, want)
+				}
+			}
+		}
 	}
 }
