@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -116,6 +117,28 @@ func BenchmarkSweepEndToEnd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SweepPrepared(pt, points, SweepOptions{Workers: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepClockSiblings sweeps all 416 paper points serially on one
+// freshly prepared trace per iteration, as a perfbench trace-sweep pass
+// does: points above the lowest CPU clock may derive their saturated
+// channel suffixes from the sibling at a larger clock ratio.
+func BenchmarkSweepClockSiblings(b *testing.B) {
+	events := smallTrace(b)
+	points := EnumerateSpace(SpaceParams{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pt, err := memsim.Prepare(events)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

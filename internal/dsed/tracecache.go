@@ -110,7 +110,10 @@ func NewTraceCache(maxEntries int) *TraceCache {
 // mapping entirely because a concurrent (or earlier) job already routed the
 // trace for that geometry. The record counters aggregate the cached
 // traces' point records the same way: record hits are points a job took
-// from a record instead of replaying them.
+// from a record instead of replaying them. The suffix counters aggregate
+// the cached traces' suffix memos (memsim.SuffixMemoStats): channel
+// replays derived from a clock-ratio sibling, replays that compared and
+// ran on, and the events the derived ones did not simulate.
 type CacheStats struct {
 	Entries          int   `json:"entries"`
 	Hits             int64 `json:"hits"`
@@ -122,14 +125,18 @@ type CacheStats struct {
 	RecordEntries    int   `json:"record_entries"`
 	RecordHits       int64 `json:"record_hits"`
 	RecordMisses     int64 `json:"record_misses"`
+	SuffixEntries    int   `json:"suffix_entries"`
+	SuffixDerived    int64 `json:"suffix_derived"`
+	SuffixFallbacks  int64 `json:"suffix_fallbacks"`
+	SuffixSkipped    int64 `json:"suffix_events_skipped"`
 }
 
 // Stats snapshots the counters.
 func (c *TraceCache) Stats() CacheStats {
 	c.mu.Lock()
 	n := len(c.entries)
-	var pEntries, rEntries int
-	var pHits, pMisses, rHits, rMisses int64
+	var pEntries, rEntries, sEntries int
+	var pHits, pMisses, rHits, rMisses, sDerived, sFallbacks, sSkipped int64
 	for _, e := range c.entries {
 		select {
 		case <-e.ready:
@@ -147,6 +154,11 @@ func (c *TraceCache) Stats() CacheStats {
 		rEntries += n
 		rHits += h
 		rMisses += m
+		ss := e.pt.SuffixMemoStats()
+		sEntries += ss.Entries
+		sDerived += int64(ss.Derived)
+		sFallbacks += int64(ss.Fallbacks)
+		sSkipped += int64(ss.EventsSkipped)
 	}
 	c.mu.Unlock()
 	return CacheStats{
@@ -160,6 +172,10 @@ func (c *TraceCache) Stats() CacheStats {
 		RecordEntries:    rEntries,
 		RecordHits:       rHits,
 		RecordMisses:     rMisses,
+		SuffixEntries:    sEntries,
+		SuffixDerived:    sDerived,
+		SuffixFallbacks:  sFallbacks,
+		SuffixSkipped:    sSkipped,
 	}
 }
 

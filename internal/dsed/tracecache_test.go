@@ -196,3 +196,37 @@ func TestTraceCachePartitionSharing(t *testing.T) {
 		t.Fatalf("partition hits = %d, want %d: %+v", st.PartitionHits, jobs-2, st)
 	}
 }
+
+// TestTraceCacheSuffixStats: the cache's suffix counters sum the suffix
+// memos of every cached trace, as the partition and record counters do.
+func TestTraceCacheSuffixStats(t *testing.T) {
+	c := NewTraceCache(4)
+	var want memsim.SuffixMemoStats
+	for k, key := range []string{"a", "b"} {
+		events := make([]trace.Event, 3000+1000*k)
+		for i := range events {
+			events[i] = trace.Event{Cycle: uint64(i / 2), Op: trace.Read, Addr: uint64(i*7919) << 6}
+		}
+		load := func(context.Context) (*memsim.PreparedTrace, error) { return memsim.Prepare(events) }
+		pt, err := c.Get(context.Background(), key, load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A reference at the larger clock ratio, then its sibling.
+		for _, cpu := range []float64{2000, 4000} {
+			if _, err := memsim.RunPreparedTrace(memsim.NewDRAMConfig(2, cpu, 400), pt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ss := pt.SuffixMemoStats()
+		want.Entries += ss.Entries
+		want.Derived += ss.Derived
+		want.Fallbacks += ss.Fallbacks
+		want.EventsSkipped += ss.EventsSkipped
+	}
+	st := c.Stats()
+	if want.Derived == 0 || st.SuffixEntries != want.Entries || st.SuffixDerived != int64(want.Derived) ||
+		st.SuffixFallbacks != int64(want.Fallbacks) || st.SuffixSkipped != int64(want.EventsSkipped) {
+		t.Fatalf("cache stats %+v, want the memos' sum %+v (with derivations)", st, want)
+	}
+}

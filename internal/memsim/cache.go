@@ -123,10 +123,4 @@ func (c *dramCache) peek(line uint64) bool {
 	return false
 }
 
-func (c *dramCache) hitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}
+func (c *dramCache) hitRate() float64 { return ratioOf(c.hits, c.misses) }

@@ -100,6 +100,25 @@ func (e *channelEngine) flatTier(line uint64) int {
 	return 1
 }
 
+// runState is the replay loop's position: the clock, the data-bus cursor,
+// the last completion and both rings' head and length, plus the admission
+// cursor. run keeps them in locals and saves them here when it pauses at a
+// checkpoint, so a paused run resumes exactly where it stopped.
+//
+// It also carries what suffix sharing (suffix.go) needs to know about the
+// run so far, in O(1) space: limited is the index of the request the last
+// arrival-limited admission check found unarrived (a check that had a free
+// slot but nothing to admit; -1 if none), and reordered whether FR-FCFS
+// ever issued a request other than the window's oldest.
+type runState struct {
+	now, busFree, done                     uint64
+	winHead, winLen, infHead, infLen, next int
+	limited                                int
+	reordered                              bool
+}
+
+func newRunState() runState { return runState{limited: -1} }
+
 // run processes the channel's partition (already sorted by arrival). The
 // controller queue is bounded at QueueDepth and exerts backpressure, as
 // NVMain's trace replay does: a request occupies a queue slot from admission
@@ -108,7 +127,11 @@ func (e *channelEngine) flatTier(line uint64) int {
 // near QueueDepth × service time even under saturation. Controller arrival
 // cycles are derived from the partition's CPU-cycle timestamps here, since
 // the clock ratio is a per-configuration property.
-func (e *channelEngine) run(part *channelPart, ratio float64) {
+//
+// run starts from rs and pauses, saving its position back into rs and
+// returning true, at the top of the first loop iteration that finds at
+// least stop requests admitted; it returns false once the channel drains.
+func (e *channelEngine) run(part *channelPart, ratio float64, rs *runState, stop int) bool {
 	win, inflight := e.st.win, e.st.inflight
 	mask := len(win) - 1
 	depth := e.cfg.QueueDepth
@@ -118,12 +141,20 @@ func (e *channelEngine) run(part *channelPart, ratio float64) {
 		flat = e.st.flatBank
 	}
 	n := len(cycles)
-	var now, busFree, done, nextArrival uint64
-	var winHead, winLen, infHead, infLen, next int
-	if n > 0 {
-		nextArrival = uint64(cycles[0] * ratio)
+	now, busFree, done := rs.now, rs.busFree, rs.done
+	winHead, winLen, infHead, infLen, next := rs.winHead, rs.winLen, rs.infHead, rs.infLen, rs.next
+	limited, reordered := rs.limited, rs.reordered
+	var nextArrival uint64
+	if next < n {
+		nextArrival = uint64(cycles[next] * ratio)
 	}
 	for winLen > 0 || next < n {
+		if next >= stop {
+			*rs = runState{now: now, busFree: busFree, done: done,
+				winHead: winHead, winLen: winLen, infHead: infHead, infLen: infLen, next: next,
+				limited: limited, reordered: reordered}
+			return true
+		}
 		// Retire completed in-flight requests: pop the FIFO's head.
 		for infLen > 0 && inflight[infHead] <= now {
 			infHead = (infHead + 1) & mask
@@ -131,7 +162,13 @@ func (e *channelEngine) run(part *channelPart, ratio float64) {
 		}
 		// Admit arrived requests while the queue has room. A request is
 		// admitted at the first step at or after its arrival: at now.
-		for next < n && winLen+infLen < depth && nextArrival <= now {
+		for next < n && winLen+infLen < depth {
+			if nextArrival > now {
+				// Arrival-limited: a slot is free but the next request has
+				// not arrived.
+				limited = next
+				break
+			}
 			e.stats.StallCycles += now - nextArrival
 			line, m := lines[next], metas[next]
 			if flat != nil {
@@ -170,6 +207,7 @@ func (e *channelEngine) run(part *channelPart, ratio float64) {
 			winHead = (winHead + 1) & mask
 		} else {
 			winHead = remove(win, winHead, winLen, i, mask)
+			reordered = true
 		}
 		winLen--
 
@@ -183,8 +221,11 @@ func (e *channelEngine) run(part *channelPart, ratio float64) {
 		e.stats.LatencyHist[bits.Len64(totalLat)]++
 		now++ // command-issue slot; banks proceed in parallel
 	}
+	*rs = runState{now: now, busFree: busFree, done: done, next: next,
+		limited: limited, reordered: reordered}
 	e.stats.Requests = uint64(n)
 	e.stats.LastCompletion = done // completions are non-decreasing
+	return false
 }
 
 // remove takes the i-th oldest of the n requests in the window ring

@@ -28,6 +28,13 @@ var enginePool = sync.Pool{New: func() any { return &engineState{} }}
 // a DRAM cache. Everything is reset to the fresh-run state.
 func acquireEngineState(nb, rows, depth, cacheLines, cacheWays int) *engineState {
 	st := enginePool.Get().(*engineState)
+	st.reset(nb, rows, depth, cacheLines, cacheWays)
+	return st
+}
+
+// reset shapes st for a geometry, as acquireEngineState describes, and
+// puts it back in the fresh-run state.
+func (st *engineState) reset(nb, rows, depth, cacheLines, cacheWays int) {
 	if cap(st.banks) < nb {
 		st.banks = make([]bankState, nb)
 	} else {
@@ -63,7 +70,6 @@ func acquireEngineState(nb, rows, depth, cacheLines, cacheWays int) *engineState
 	if cacheLines > 0 {
 		st.cache.init(cacheLines, cacheWays)
 	}
-	return st
 }
 
 func releaseEngineState(st *engineState) { enginePool.Put(st) }

@@ -22,6 +22,10 @@ import (
 // partitions keyed by mapping geometry (see partitionFor): sweep points
 // sharing an interleave route the trace to channels once and replay the
 // cached partition thereafter.
+// It also keeps a suffix memo (suffix.go): a replay whose configuration
+// differs from an earlier one only in a higher CPU clock takes its
+// channels' saturated suffixes from that reference once it has checked
+// they are the same.
 //
 // A PreparedTrace is safe for concurrent use by any number of simulators.
 type PreparedTrace struct {
@@ -37,6 +41,9 @@ type PreparedTrace struct {
 	partClock  uint64 // LRU clock
 	partHits   uint64
 	partMisses uint64
+
+	// Suffix memo: reference replays shared across clock ratios (suffix.go).
+	suffixes suffixMemo
 }
 
 type partEntry struct {
@@ -111,6 +118,9 @@ func (p *PreparedTrace) PartitionCacheStats() PartitionCacheStats {
 	return PartitionCacheStats{Entries: len(p.parts), Hits: p.partHits, Misses: p.partMisses}
 }
 
+// SuffixMemoStats returns a snapshot of the suffix memo counters.
+func (p *PreparedTrace) SuffixMemoStats() SuffixMemoStats { return p.suffixes.snapshot() }
+
 // Prepare validates and decodes events into a PreparedTrace.
 func Prepare(events []trace.Event) (*PreparedTrace, error) {
 	p := newPreparedTrace(len(events))
@@ -173,8 +183,8 @@ var preparedCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // preparation time; long-lived holders (the daemon's content-addressed trace
 // cache) recompute it on access to detect in-memory corruption of an entry
 // shared by many concurrent jobs and re-decode instead of serving poison.
-// The partition cache is derived state and deliberately outside the
-// fingerprint.
+// The partition cache and the suffix memo are derived state and
+// deliberately outside the fingerprint.
 func (p *PreparedTrace) Fingerprint() uint32 {
 	h := crc32.New(preparedCRCTable)
 	var buf [17]byte
@@ -216,7 +226,7 @@ func (s *Simulator) RunPrepared(p *PreparedTrace) (*Result, error) {
 	if p.Len() == 0 {
 		return nil, ErrEmptyTrace
 	}
-	return s.runPartition(p.partitionFor(s.mapper))
+	return s.runPartition(p.partitionFor(s.mapper), &p.suffixes)
 }
 
 // RunSource replays a trace stream in one pass without materializing it as
@@ -246,7 +256,7 @@ func (s *Simulator) RunSource(src trace.Source) (*Result, error) {
 	if total == 0 {
 		return nil, ErrEmptyTrace
 	}
-	return s.runPartition(part)
+	return s.runPartition(part, nil)
 }
 
 // RunPreparedTrace is the PreparedTrace analog of RunTrace: build a

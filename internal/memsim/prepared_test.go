@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -230,7 +231,8 @@ func TestRunPreparedAllocBound(t *testing.T) {
 		ratio := sim.cfg.CtrlFreqMHz / sim.cfg.CPUFreqMHz
 		engine := testing.AllocsPerRun(5, func() {
 			e := newChannelEngine(sim, st)
-			e.run(part, ratio)
+			rs := newRunState()
+			e.run(part, ratio, &rs, math.MaxInt)
 		})
 		releaseEngineState(st)
 		if engine != 0 {

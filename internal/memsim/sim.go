@@ -56,14 +56,16 @@ func (s *Simulator) Run(events []trace.Event) (*Result, error) {
 		}
 		part.route(s.mapper, e.Cycle, e.Addr, e.Op == trace.Write)
 	}
-	return s.runPartition(part)
+	return s.runPartition(part, nil)
 }
 
 // runPartition simulates the partitioned trace and assembles the result —
 // the shared back half of Run, RunPrepared, and RunSource. Each channel
 // goroutine draws its mutable state from the engine pool and returns it when
 // the channel drains, so steady-state sweeps allocate only the snapshot.
-func (s *Simulator) runPartition(part *tracePartition) (*Result, error) {
+// With a suffix memo (RunPrepared), channels may take their suffix from a
+// clock-ratio sibling (suffix.go).
+func (s *Simulator) runPartition(part *tracePartition, memo *suffixMemo) (*Result, error) {
 	cfg := &s.cfg
 	ratio := cfg.CtrlFreqMHz / cfg.CPUFreqMHz
 	stats := make([]ChannelStats, cfg.Channels)
@@ -75,8 +77,7 @@ func (s *Simulator) runPartition(part *tracePartition) (*Result, error) {
 			defer wg.Done()
 			st := s.acquireState()
 			eng := newChannelEngine(s, st)
-			eng.run(&part.chans[ch], ratio)
-			eng.snapshot(&stats[ch], &hitRates[ch])
+			eng.replay(s, &part.chans[ch], ratio, memo, ch, &stats[ch], &hitRates[ch])
 			releaseEngineState(st)
 		}(ch)
 	}
@@ -93,12 +94,17 @@ func (s *Simulator) runPartition(part *tracePartition) (*Result, error) {
 // acquireState draws one channel's pooled engine state, shaped for this
 // simulator's geometry.
 func (s *Simulator) acquireState() *engineState {
+	nb, rows, depth, cacheLines, cacheWays := s.stateShape()
+	return acquireEngineState(nb, rows, depth, cacheLines, cacheWays)
+}
+
+// stateShape is the engine-state geometry of this simulator's channels.
+func (s *Simulator) stateShape() (nb, rows, depth, cacheLines, cacheWays int) {
 	cfg := &s.cfg
-	cacheLines, cacheWays := 0, 0
 	if cfg.Type == Hybrid && cfg.HybridMode != HybridFlat {
 		cacheLines, cacheWays = cfg.CacheLines, cfg.CacheWays
 	}
-	return acquireEngineState(s.mapper.BanksPerChannel(), cfg.RowsPerBank, cfg.QueueDepth, cacheLines, cacheWays)
+	return s.mapper.BanksPerChannel(), cfg.RowsPerBank, cfg.QueueDepth, cacheLines, cacheWays
 }
 
 func (s *Simulator) assemble(stats []ChannelStats, hitRates []float64) *Result {
