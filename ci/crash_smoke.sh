@@ -11,7 +11,10 @@
 #      in a terminal done event, and
 #   5. the same spec submitted again under a new ID takes every point from
 #      the records the daemon already holds for that trace (/statusz
-#      record_hits), and its report equals the reference apart from the ID.
+#      record_hits), and its report equals the reference apart from the ID,
+#      and
+#   6. every job commits through its journal alone: neither spool holds a
+#      results/ directory.
 # The Go test suite proves the same contracts in-process
 # (internal/dsed/crash_test.go, crash_stream_test.go); this script proves
 # them for the real binary.
@@ -188,5 +191,9 @@ cmp "$workdir/recovered.json" "$workdir/reference.json" || {
   echo "FAIL: recovered report is not byte-identical to the uninterrupted one"
   exit 1
 }
+
+for s in "$spool" "$workdir/spool-ref"; do
+  [ ! -e "$s/results" ] || { echo "FAIL: spool $s holds a results/ directory"; exit 1; }
+done
 
 echo "PASS: resumed after kill -9 with no lost jobs, no duplicate points, byte-identical report; a repeated spec reused its point records"

@@ -8,9 +8,11 @@
 #      Retry-After header), while reads keep serving,
 #   3. once the fault clears (-fault-clear-file), recovery probes restore
 #      full service without a restart: /healthz returns 200, the parked job
-#      seals, and new submissions are accepted again, and
-#   4. the sealed report that survived the outage is byte-identical to one
-#      from a run that never saw a fault.
+#      commits, and new submissions are accepted again,
+#   4. the report committed through the outage is byte-identical to one
+#      from a run that never saw a fault, and
+#   5. neither spool holds a results/ directory: a job's journal is its
+#      only store.
 # The Go test suite proves the same contracts in-process
 # (internal/dsed/diskfault_test.go); this script proves them for the real
 # binary and flags.
@@ -83,7 +85,7 @@ wait "$daemon_pid" || { echo "FAIL: reference drain exited non-zero"; exit 1; }
 echo "== phase 2: injected ENOSPC mid-sweep must degrade, not crash =="
 healfile="$workdir/heal"
 # 8KiB of spool writes covers the submission and the first checkpoints, then
-# the "disk" fills long before the sweep can seal its result.
+# the "disk" fills long before the sweep can commit.
 start_daemon "$workdir/spool" "$addrfile" \
   -fault-write-budget 8KiB -fault-clear-file "$healfile"
 code=$(spec smoke 50 | curl -s -o /dev/null -w '%{http_code}' -X POST -d @- "$base/v1/jobs")
@@ -141,8 +143,12 @@ kill -TERM "$daemon_pid"
 wait "$daemon_pid" || { echo "FAIL: post-recovery drain exited non-zero"; exit 1; }
 
 cmp "$workdir/survived.json" "$workdir/reference.json" || {
-  echo "FAIL: report sealed through the outage is not byte-identical to the unfaulted one"
+  echo "FAIL: report committed through the outage is not byte-identical to the unfaulted one"
   exit 1
 }
+
+for s in "$workdir/spool-ref" "$workdir/spool"; do
+  [ ! -e "$s/results" ] || { echo "FAIL: spool $s holds a results/ directory"; exit 1; }
+done
 
 echo "PASS: degraded under ENOSPC with paced shedding, recovered in place, byte-identical report"

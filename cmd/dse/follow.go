@@ -35,8 +35,6 @@ func renderEvent(ev dsedclient.Event) {
 			line += ": " + ev.Error
 		}
 		fmt.Println(line)
-	case "seal":
-		fmt.Printf("job %s result sealed: %d survivors, %d quarantined\n", ev.Job, ev.Survivors, ev.Quarantined)
 	case "lag":
 		fmt.Fprintf(os.Stderr, "dse: follow: %s\n", ev.Error)
 	default:

@@ -48,7 +48,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		addrFile     = flag.String("addr-file", "", "write the bound listen address to this file once serving (for :0 handshakes)")
-		dir          = flag.String("dir", "dsed-spool", "spool directory for per-job event journals and sealed results")
+		dir          = flag.String("dir", "dsed-spool", "spool directory for per-job event journals")
 		jobWorkers   = flag.Int("job-workers", 2, "concurrent jobs")
 		sweepWorkers = flag.Int("sweep-workers", 4, "sweep workers per job")
 		maxQueued    = flag.Int("max-queued", 64, "admission control: queued jobs beyond this are rejected with 429")

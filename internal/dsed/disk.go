@@ -192,7 +192,7 @@ func (g *DiskGovernor) Writable() bool { return g.Mode() != DiskDegraded }
 
 // AwaitWritable blocks until the governor leaves degraded mode or ctx
 // ends, reporting which happened. Running jobs use it to park a failed
-// result seal until the disk heals instead of discarding finished work.
+// journal append until the disk heals instead of discarding finished work.
 func (g *DiskGovernor) AwaitWritable(ctx context.Context) bool {
 	for {
 		g.mu.Lock()
@@ -208,11 +208,10 @@ func (g *DiskGovernor) AwaitWritable(ctx context.Context) bool {
 }
 
 // ObserveWrite feeds one durable write's outcome into the health model.
-// Every persistence path (event-journal appends and result seals) reports
-// here: ENOSPC degrades immediately, other errors degrade
-// after a streak, and any success both resets the streak and — because a
-// real committed write is at least as convincing as a probe — can clear
-// degraded mode when usage allows.
+// Every event-journal append reports here: ENOSPC degrades immediately,
+// other errors degrade after a streak, and any success both resets the
+// streak and — because a real committed write is at least as convincing as
+// a probe — can clear degraded mode when usage allows.
 func (g *DiskGovernor) ObserveWrite(err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -55,20 +55,21 @@ func sameSnapshot(a, b map[string][]byte) error {
 }
 
 // TestChaosMatrixQueuePersistence drives every spool persistence path —
-// submit (the journal's first event), terminal append, progress append and
-// result seal — through the full storage-fault matrix. The invariants are
-// identical for every fault that reaches a path: the operation errors
-// instead of panicking, nothing already durable changes, the governor
-// degrades to read-only, and clearing the fault restores full service with
-// the journal's valid prefix intact and every job recoverable from it.
+// submit (the journal's first event), terminal append and progress append
+// — and the disk probe through the full storage-fault matrix. The
+// invariants are identical for every fault that reaches a path: the
+// operation errors instead of panicking, nothing already durable changes,
+// the governor degrades to read-only, and clearing the fault restores full
+// service with the journal's valid prefix intact and every job recoverable
+// from it.
 func TestChaosMatrixQueuePersistence(t *testing.T) {
 	cases := []struct {
 		name string
 		arm  func(f *artifact.FaultFS)
-		// journalFails: the fault also breaks journal appends (submit,
-		// terminal and progress events). A failed rename does not —
-		// appends never rename; only the result seal does — so there the
-		// appends must succeed.
+		// journalFails: the fault breaks journal appends (submit, terminal
+		// and progress events). A failed rename does not — appends never
+		// rename; only the disk probe's atomic write does — so there the
+		// appends must succeed and the spool stays writable.
 		journalFails bool
 	}{
 		{"enospc", func(f *artifact.FaultFS) { f.SetWriteBudget(0) }, true},
@@ -89,8 +90,7 @@ func TestChaosMatrixQueuePersistence(t *testing.T) {
 			q.AttachDisk(g)
 
 			// Seed durable state before the fault: two jobs with journal
-			// history — one to keep, one to finalize under the fault — and
-			// a sealed result the faulted seal must not disturb.
+			// history — one to keep, one to finalize under the fault.
 			if _, _, err := q.Submit(workloadSpec("seed", "acme")); err != nil {
 				t.Fatal(err)
 			}
@@ -100,11 +100,7 @@ func TestChaosMatrixQueuePersistence(t *testing.T) {
 			if err := q.events.Emit("seed", Event{Type: EventProgress, Done: 1, Total: 4}); err != nil {
 				t.Fatal(err)
 			}
-			if err := q.writeResult("seed", []byte("sealed before the fault\n")); err != nil {
-				t.Fatal(err)
-			}
 			eventsSnap := durableSnapshot(t, filepath.Join(dir, eventsDir))
-			resultsSnap := durableSnapshot(t, filepath.Join(dir, resultsDir))
 			journalPath := filepath.Join(dir, eventsDir, "seed.jsonl")
 			preEvents, _ := scanJournal(artifact.OS, journalPath)
 			if len(preEvents) == 0 {
@@ -133,26 +129,34 @@ func TestChaosMatrixQueuePersistence(t *testing.T) {
 			// Terminal append under fault: a failed one is not durably
 			// adopted (the events snapshot check below; a restart would
 			// recover the job as queued).
-			expect("finalize", q.Finalize("fin", StateFailed, "chaos", 0, 0), c.journalFails)
+			fin := Verdict{State: StateFailed, Error: "chaos"}
+			expect("finalize", q.Finalize("fin", fin, nil), c.journalFails)
+			if rec, _ := q.Get("fin"); rec.State.Terminal() == c.journalFails {
+				t.Fatalf("finalize under fault left fin %s in memory", rec.State)
+			}
 			// Progress append under fault: errors, job unharmed.
 			expect("event append", q.events.Emit("seed", Event{Type: EventProgress, Done: 2, Total: 4}), c.journalFails)
-			// Result seal under fault: every fault class breaks it.
-			expect("result seal", q.writeResult("seed", []byte("sealed under the fault\n")), true)
-
-			// One observed failure is enough (FailureStreak: 1): read-only.
-			if g.Mode() != DiskDegraded {
-				t.Fatalf("mode %q after write failure, want degraded", g.Mode())
-			}
-			if err := g.Admit(); !errors.Is(err, ErrDegraded) {
-				t.Fatalf("Admit while degraded: got %v, want ErrDegraded", err)
+			// The disk probe under fault: every fault class breaks it.
+			if g.Probe() {
+				t.Fatal("disk probe under storage fault reported success")
 			}
 
-			// Nothing that was durable before the fault changed: the sealed
-			// result, every journal when appends failed, and in any case the
-			// valid prefix that replays every pre-fault event.
-			if err := sameSnapshot(resultsSnap, durableSnapshot(t, filepath.Join(dir, resultsDir))); err != nil {
-				t.Fatal(err)
+			// One observed append failure is enough (FailureStreak: 1):
+			// read-only. A fault no append meets leaves the spool writable.
+			if c.journalFails {
+				if g.Mode() != DiskDegraded {
+					t.Fatalf("mode %q after write failure, want degraded", g.Mode())
+				}
+				if err := g.Admit(); !errors.Is(err, ErrDegraded) {
+					t.Fatalf("Admit while degraded: got %v, want ErrDegraded", err)
+				}
+			} else if g.Mode() != DiskOK {
+				t.Fatalf("mode %q under a fault no append meets, want ok", g.Mode())
 			}
+
+			// Nothing that was durable before the fault changed: every
+			// journal when appends failed, and in any case the valid prefix
+			// that replays every pre-fault event.
 			if c.journalFails {
 				if err := sameSnapshot(eventsSnap, durableSnapshot(t, filepath.Join(dir, eventsDir))); err != nil {
 					t.Fatal(err)
@@ -183,12 +187,9 @@ func TestChaosMatrixQueuePersistence(t *testing.T) {
 				t.Fatalf("event append after recovery: %v", err)
 			}
 			if c.journalFails {
-				if err := q.Finalize("fin", StateFailed, "chaos", 0, 0); err != nil {
+				if err := q.Finalize("fin", fin, nil); err != nil {
 					t.Fatalf("finalize after recovery: %v", err)
 				}
-			}
-			if err := q.writeResult("seed", []byte("sealed after recovery\n")); err != nil {
-				t.Fatalf("result seal after recovery: %v", err)
 			}
 			// The journal self-healed: the post-recovery event is replayable,
 			// not hidden behind torn bytes from the failed append.
@@ -366,7 +367,7 @@ func awaitHealth(t *testing.T, base string, code int, substr string) {
 // a live daemon's disk fills mid-flight, the daemon degrades to read-only
 // instead of crashing or failing the in-flight job, sheds new work with
 // explicit backpressure, and returns to full verified service once the
-// fault clears — the sealed result lands intact.
+// fault clears — the committed result serves intact.
 func TestDaemonDegradesAndRecoversEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full daemon chaos drill skipped in -short")
@@ -412,11 +413,11 @@ func TestDaemonDegradesAndRecoversEndToEnd(t *testing.T) {
 	baseline, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || len(baseline) == 0 {
-		t.Fatalf("sealed result unreadable while degraded: %d", resp.StatusCode)
+		t.Fatalf("result unreadable while degraded: %d", resp.StatusCode)
 	}
 
 	// Phase 3: the fault clears; recovery probes restore full service and
-	// the in-flight job — parked, not failed — seals its result.
+	// the in-flight job — its journal writer parked, not failed — commits.
 	ffs.Clear()
 	awaitHealth(t, base, http.StatusOK, "")
 	st = awaitState(t, base, "inflight", 60*time.Second)
@@ -427,10 +428,10 @@ func TestDaemonDegradesAndRecoversEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, _ := io.ReadAll(resp.Body)
+	committed, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(sealed) == 0 {
-		t.Fatalf("result after recovery: %d (%d bytes)", resp.StatusCode, len(sealed))
+	if resp.StatusCode != http.StatusOK || len(committed) == 0 {
+		t.Fatalf("result after recovery: %d (%d bytes)", resp.StatusCode, len(committed))
 	}
 	if code, _ := httpSubmit(t, base, workloadSpec("after", "acme")); code != http.StatusAccepted {
 		t.Fatalf("submit after recovery: %d", code)

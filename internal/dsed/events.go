@@ -38,10 +38,15 @@ type Event struct {
 	// Done/Total carry sweep progress for EventProgress records.
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
-	// Survivors/Quarantined summarize the gate outcome on seal and
-	// terminal-state records.
+	// Survivors/Quarantined summarize the gate outcome on terminal-state
+	// records.
 	Survivors   int `json:"survivors,omitempty"`
 	Quarantined int `json:"quarantined,omitempty"`
+	// TraceEvents rides on the done state event: the replayed trace's
+	// event count, which with the journaled point records is all the
+	// invariant gate needs, so the job's result is re-derived from its
+	// journal (see renderResult).
+	TraceEvents int64 `json:"trace_events,omitempty"`
 	// Error carries the failure detail of failed/cancelled states and
 	// per-point failure records.
 	Error string `json:"error,omitempty"`
@@ -74,9 +79,6 @@ const (
 	// EventFailure records one design point's terminal failure — the
 	// streaming form of the sweep failure log.
 	EventFailure = "failure"
-	// EventSeal records that the job's result document was sealed to disk;
-	// it always precedes the terminal done state event.
-	EventSeal = "seal"
 	// EventLag tells a slow consumer it was disconnected for falling
 	// behind and must reconnect with Last-Event-ID to resume.
 	EventLag = "lag"

@@ -42,7 +42,7 @@ type JanitorStats struct {
 	Sweeps      int64 `json:"sweeps"`
 	JobsRemoved int64 `json:"jobs_removed"`
 	BytesFreed  int64 `json:"bytes_freed"`
-	// Orphans counts spool files of unknown jobs collected (crash-mid-GC or
+	// Orphans counts journals of unknown jobs collected (crash-mid-GC or
 	// failed-submit residue); Temps counts stale atomic-write temps.
 	Orphans   int64  `json:"orphans"`
 	Temps     int64  `json:"temps"`
@@ -53,10 +53,9 @@ type JanitorStats struct {
 
 // Janitor is the spool's lifecycle garbage collector: it applies the
 // retention policy to terminal jobs, collects orphaned files left by
-// crashes, and prunes stale atomic-write temps. Every deletion follows the
-// safe order encoded in Queue.GCJob (journal first, result last), so a
-// crash mid-sweep leaves only orphans the next sweep collects — never a
-// job whose journal promises files that are gone.
+// crashes, and prunes stale atomic-write temps. A job's journal is its one
+// spool file, so a crash mid-sweep leaves at most an orphan journal the
+// next sweep collects.
 type Janitor struct {
 	q      *Queue
 	policy RetentionPolicy
@@ -168,64 +167,53 @@ func (j *Janitor) gc(id string) {
 	j.mu.Unlock()
 }
 
-// collectOrphans removes spool files whose job the queue does not know —
-// the residue of a crash between GC steps or of a failed submission. The
-// ownership check runs per candidate at removal time, under the lock
-// Submit indexes jobs with (Queue.removeOrphan), so a submission racing
-// the sweep never loses a file.
+// collectOrphans removes journals whose job the queue does not know — the
+// residue of a crash mid-GC or of a failed submission. The ownership check
+// runs per candidate at removal time, under the lock Submit indexes jobs
+// with (Queue.removeOrphan), so a submission racing the sweep never loses
+// its journal.
 func (j *Janitor) collectOrphans() {
-	scans := []struct{ dir, ext string }{
-		{filepath.Join(j.q.dir, resultsDir), ".json"},
-		{filepath.Join(j.q.dir, eventsDir), ".jsonl"},
+	dir := filepath.Join(j.q.dir, eventsDir)
+	entries, err := j.q.fs.ReadDir(dir)
+	if err != nil {
+		return
 	}
-	for _, s := range scans {
-		entries, err := j.q.fs.ReadDir(s.dir)
-		if err != nil {
+	for _, e := range entries {
+		job := jobOfFile(e.Name(), ".jsonl")
+		if e.IsDir() || job == "" {
 			continue
 		}
-		for _, e := range entries {
-			job := jobOfFile(e.Name(), s.ext)
-			if e.IsDir() || job == "" {
-				continue
-			}
-			if j.q.removeOrphan(job, filepath.Join(s.dir, e.Name())) {
-				j.mu.Lock()
-				j.stats.Orphans++
-				j.mu.Unlock()
-			}
+		if j.q.removeOrphan(job, filepath.Join(dir, e.Name())) {
+			j.mu.Lock()
+			j.stats.Orphans++
+			j.mu.Unlock()
 		}
 	}
 }
 
 // pruneTemps removes atomic-write temp files (".<name>.tmp-*") older than
-// the policy age across the spool tree — a crash mid-commit leaks exactly
-// one, and the artifact layer never reuses them.
+// the policy age from the spool root, where the disk probe's atomic write
+// (the spool's one rename) lives: a crash mid-probe leaks exactly one, and
+// the artifact layer never reuses them.
 func (j *Janitor) pruneTemps() {
-	dirs := []string{
-		j.q.dir,
-		filepath.Join(j.q.dir, resultsDir),
-		filepath.Join(j.q.dir, eventsDir),
+	entries, err := j.q.fs.ReadDir(j.q.dir)
+	if err != nil {
+		return
 	}
 	cutoff := time.Now().Add(-j.policy.TempMaxAge)
-	for _, dir := range dirs {
-		entries, err := j.q.fs.ReadDir(dir)
-		if err != nil {
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasPrefix(name, ".") || !strings.Contains(name, ".tmp-") {
 			continue
 		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasPrefix(name, ".") || !strings.Contains(name, ".tmp-") {
-				continue
-			}
-			info, ierr := e.Info()
-			if ierr != nil || info.ModTime().After(cutoff) {
-				continue
-			}
-			if rerr := j.q.fs.Remove(filepath.Join(dir, name)); rerr == nil {
-				j.mu.Lock()
-				j.stats.Temps++
-				j.mu.Unlock()
-			}
+		info, ierr := e.Info()
+		if ierr != nil || info.ModTime().After(cutoff) {
+			continue
+		}
+		if rerr := j.q.fs.Remove(filepath.Join(j.q.dir, name)); rerr == nil {
+			j.mu.Lock()
+			j.stats.Temps++
+			j.mu.Unlock()
 		}
 	}
 }

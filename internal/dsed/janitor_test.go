@@ -1,31 +1,23 @@
 package dsed
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"graphdse/internal/artifact"
 )
 
-// finalizeJob drives a submitted job to a terminal state, optionally
-// sealing a result file first (the ordering Finalize's contract requires
-// for StateDone).
-func finalizeJob(t *testing.T, q *Queue, id string, state JobState, resultBytes int) {
+// finalizeJob drives a submitted job to a terminal state, first growing
+// its journal by about padBytes with a padded failure-log entry.
+func finalizeJob(t *testing.T, q *Queue, id string, state JobState, padBytes int) {
 	t.Helper()
-	if resultBytes > 0 {
-		err := artifact.WriteFileAtomic(q.resultPath(id), 0o644, func(w io.Writer) error {
-			_, werr := w.Write(make([]byte, resultBytes))
-			return werr
-		})
-		if err != nil {
+	if padBytes > 0 {
+		if err := q.events.Emit(id, Event{Type: EventFailure, Error: strings.Repeat("x", padBytes)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := q.Finalize(id, state, "", 0, 0); err != nil {
+	if err := q.Finalize(id, Verdict{State: state}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -63,10 +55,8 @@ func TestJanitorRetentionCountAndBytes(t *testing.T) {
 		t.Fatal("sweep removed the newest terminal job or a live job")
 	}
 	for _, id := range []string{"old", "mid"} {
-		for _, path := range []string{q.journalPath(id), q.resultPath(id)} {
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatalf("GC'd job %s left %s behind", id, path)
-			}
+		if _, err := os.Stat(q.journalPath(id)); !os.IsNotExist(err) {
+			t.Fatalf("GC'd job %s left its journal behind", id)
 		}
 	}
 	st := j.Stats()
@@ -121,9 +111,9 @@ func TestJanitorRetentionAge(t *testing.T) {
 	}
 }
 
-// TestJanitorOrphansAndTemps: spool files owned by no known job (the
-// residue of a crash between GC steps) and stale atomic-write temps are
-// collected; a known job's files are not.
+// TestJanitorOrphansAndTemps: journals owned by no known job (the residue
+// of a crash mid-GC) and stale atomic-write temps in the spool root are
+// collected; a known job's journal is not.
 func TestJanitorOrphansAndTemps(t *testing.T) {
 	q, err := OpenQueue(t.TempDir(), QueueOptions{})
 	if err != nil {
@@ -133,16 +123,16 @@ func TestJanitorOrphansAndTemps(t *testing.T) {
 	mustSubmit(t, q, "owned")
 
 	orphans := []string{
-		filepath.Join(q.dir, resultsDir, "ghost.json"),
 		filepath.Join(q.dir, eventsDir, "ghost.jsonl"),
+		filepath.Join(q.dir, eventsDir, "spook.jsonl"),
 	}
 	for _, p := range orphans {
 		if err := os.WriteFile(p, []byte("residue"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	staleTemp := filepath.Join(q.dir, resultsDir, ".x.json.tmp-123")
-	freshTemp := filepath.Join(q.dir, resultsDir, ".y.json.tmp-456")
+	staleTemp := filepath.Join(q.dir, "..diskprobe.tmp-123")
+	freshTemp := filepath.Join(q.dir, "..diskprobe.tmp-456")
 	for _, p := range []string{staleTemp, freshTemp} {
 		if err := os.WriteFile(p, []byte("tmp"), 0o644); err != nil {
 			t.Fatal(err)

@@ -26,7 +26,7 @@
 //     the process exits 0; a second signal force-exits with
 //     artifact.ExitForced.
 //   - Every observable job transition — state changes, sweep progress,
-//     per-point failures, the result seal — is journaled durably (CRC-framed
+//     per-point failures, the done commit — is journaled durably (CRC-framed
 //     append-only, fsynced before publication) and streamed over SSE with
 //     Last-Event-ID resume, so a client's view of a job survives both
 //     daemon crashes and its own disconnects with no gaps and no
@@ -185,6 +185,16 @@ func (s *JobSpec) tenant() string {
 	return s.Tenant
 }
 
+// points enumerates the spec's design space (the paper's 416 points when
+// Space is unset).
+func (s *JobSpec) points() []dse.DesignPoint {
+	var space dse.SpaceParams
+	if s.Space != nil {
+		space = *s.Space
+	}
+	return dse.EnumerateSpace(space)
+}
+
 // Digest is the canonical content hash of the spec (ID excluded), used for
 // idempotent re-submission: same ID + same digest is the same job.
 func (s *JobSpec) Digest() (uint32, error) {
@@ -216,4 +226,7 @@ type JobRecord struct {
 	Total       int `json:"total,omitempty"`
 	Survivors   int `json:"survivors,omitempty"`
 	Quarantined int `json:"quarantined,omitempty"`
+	// TraceEvents is the done event's trace event count (see
+	// Event.TraceEvents).
+	TraceEvents int64 `json:"trace_events,omitempty"`
 }

@@ -5,10 +5,8 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -39,12 +37,9 @@ var (
 	ErrNotCancellable = errors.New("dsed: job already terminal")
 )
 
-// Spool layout under the queue directory: each job's event journal (its
-// only durable record) and its sealed result.
-const (
-	resultsDir = "results"
-	eventsDir  = "events"
-)
+// eventsDir holds the spool's one store: each job's event journal, its
+// only durable record.
+const eventsDir = "events"
 
 // RecoveryReport accounts for what a queue recovery found, so an operator
 // can see exactly what a crash cost (nothing, if the invariants hold).
@@ -54,12 +49,9 @@ type RecoveryReport struct {
 	// Requeued counts queued jobs put back on the run queue.
 	Requeued int
 	// Resumed counts jobs found running (the daemon died under them) and
-	// re-enqueued to resume from the points their journal holds.
+	// re-enqueued to resume from the points their journal holds; one whose
+	// journal holds every point sweeps nothing and commits.
 	Resumed int
-	// Adopted counts jobs found running whose complete result file already
-	// existed: the crash landed between result seal and terminal event,
-	// and recovery finalizes them as done without re-running anything.
-	Adopted int
 	// Corrupt counts journals whose first frame failed its checksum; the
 	// damaged files are set aside with a .corrupt suffix and the jobs
 	// reported lost rather than silently re-animated.
@@ -76,8 +68,8 @@ type RecoveryReport struct {
 
 // String renders the report as one log line.
 func (r *RecoveryReport) String() string {
-	return fmt.Sprintf("recovery: %d terminal, %d requeued, %d resumed from journal, %d adopted from result, %d corrupt",
-		r.Terminal, r.Requeued, r.Resumed, r.Adopted, r.Corrupt)
+	return fmt.Sprintf("recovery: %d terminal, %d requeued, %d resumed from journal, %d corrupt",
+		r.Terminal, r.Requeued, r.Resumed, r.Corrupt)
 }
 
 // QueueOptions bounds the queue. Zero values disable nothing by accident:
@@ -132,6 +124,8 @@ type Queue struct {
 	// under q.mu keep journal order identical to state-transition order;
 	// EventLog never calls back into the queue, so the lock order is safe.
 	events *EventLog
+	// results caches done jobs' reports (see Result).
+	results resultCache
 
 	mu sync.Mutex
 	// jobs is guarded by mu.
@@ -150,20 +144,23 @@ type Queue struct {
 
 // OpenQueue opens (creating if needed) the spool at dir and recovers its
 // state: terminal jobs are indexed, queued jobs re-enter the run queue in
-// submission order, and jobs left running by a crash are either adopted (a
-// complete result exists) or re-enqueued to resume from their journal.
+// submission order, and jobs left running by a crash are re-enqueued to
+// resume from their journal.
 func OpenQueue(dir string, opts QueueOptions) (*Queue, error) {
 	opts.fill()
-	// A spool from before journals carried their jobs' specs keeps its job
-	// records in jobs/. Its journals cannot be folded, and recovering them
-	// would quarantine — and past -max-corrupt, delete — every one.
-	if _, err := opts.FS.Stat(filepath.Join(dir, "jobs")); err == nil {
-		return nil, fmt.Errorf("dsed: spool %s has the retired jobs/ layout; drain it with the daemon that wrote it or use a new -dir", dir)
-	}
-	for _, sub := range []string{resultsDir, eventsDir} {
-		if err := opts.FS.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("dsed: spool: %w", err)
+	// Retired layouts are refused, not migrated. A spool from before
+	// journals carried their jobs' specs keeps its job records in jobs/:
+	// its journals cannot be folded, and recovering them would quarantine
+	// — and past -max-corrupt, delete — every one. A spool from before
+	// results were derived from journals keeps them in results/: its done
+	// events lack the trace event count a result is re-derived from.
+	for _, retired := range []string{"jobs", "results"} {
+		if _, err := opts.FS.Stat(filepath.Join(dir, retired)); err == nil {
+			return nil, fmt.Errorf("dsed: spool %s has the retired %s/ layout; drain it with the daemon that wrote it or use a new -dir", dir, retired)
 		}
+	}
+	if err := opts.FS.MkdirAll(filepath.Join(dir, eventsDir), 0o755); err != nil {
+		return nil, fmt.Errorf("dsed: spool: %w", err)
 	}
 	q := &Queue{
 		dir:    dir,
@@ -205,10 +202,9 @@ func (q *Queue) Close() { q.events.Close() }
 // Dir returns the spool root.
 func (q *Queue) Dir() string { return q.dir }
 
-// journalPath/resultPath name a job's two spool files. IDs are validated
-// at admission (safeID), so they cannot traverse outside the spool.
+// journalPath names a job's one spool file. IDs are validated at
+// admission (safeID), so they cannot traverse outside the spool.
 func (q *Queue) journalPath(id string) string { return q.events.path(id) }
-func (q *Queue) resultPath(id string) string  { return filepath.Join(q.dir, resultsDir, id+".json") }
 
 // foldJournal rebuilds a job's record from its journal: the first event
 // must be the queued state carrying the spec, and every later state and
@@ -228,7 +224,7 @@ func foldJournal(id string, evs []Event) *JobRecord {
 		switch ev := &evs[i]; ev.Type {
 		case EventState:
 			rec.State, rec.Attempt, rec.Error = ev.State, ev.Attempt, ev.Error
-			rec.Survivors, rec.Quarantined = ev.Survivors, ev.Quarantined
+			rec.Survivors, rec.Quarantined, rec.TraceEvents = ev.Survivors, ev.Quarantined, ev.TraceEvents
 		case EventProgress:
 			rec.Done, rec.Total = ev.Done, ev.Total
 		}
@@ -286,24 +282,15 @@ func (q *Queue) recover() error {
 		case rec.State.Terminal():
 			rep.Terminal++
 		case rec.State == StateRunning:
-			// The daemon died mid-job. If its result is already sealed, the
-			// crash landed between the seal and the terminal event: adopt
-			// it, journaling the seal only if that append was lost too.
-			// Otherwise resume from the points the journal holds.
-			if res, ok := q.sealedResult(id); ok {
-				sealed := evs[len(evs)-1].Type == EventSeal
-				if ferr := q.finalizeLocked(rec, StateDone, "", res.Survivors, res.Quarantined, !sealed); ferr != nil {
-					return fmt.Errorf("dsed: recover adopt %s: %w", id, ferr)
-				}
-				rep.Adopted++
-			} else {
-				rec.State = StateQueued
-				if eerr := q.events.Emit(id, Event{Type: EventState, State: StateQueued, Attempt: rec.Attempt}); eerr != nil {
-					return fmt.Errorf("dsed: recover requeue %s: %w", id, eerr)
-				}
-				requeue = append(requeue, rec)
-				rep.Resumed++
+			// The daemon died mid-job: resume from the points the journal
+			// holds. The done event is the commit point, so a job that
+			// swept every point but did not commit sweeps nothing now.
+			rec.State = StateQueued
+			if eerr := q.events.Emit(id, Event{Type: EventState, State: StateQueued, Attempt: rec.Attempt}); eerr != nil {
+				return fmt.Errorf("dsed: recover requeue %s: %w", id, eerr)
 			}
+			requeue = append(requeue, rec)
+			rep.Resumed++
 		default: // queued
 			requeue = append(requeue, rec)
 			rep.Requeued++
@@ -361,30 +348,6 @@ func (q *Queue) capCorrupt() (retained, evicted int) {
 // emit journals one event, tolerating journal failures: a broken event
 // stream degrades observability, never the job.
 func (q *Queue) emit(id string, ev Event) { _ = q.events.Emit(id, ev) }
-
-// sealedResult returns the job's result document when a structurally-valid
-// sealed one exists.
-func (q *Queue) sealedResult(id string) (JobResult, bool) {
-	var res JobResult
-	data, err := q.fs.ReadFile(q.resultPath(id))
-	if err != nil || json.Unmarshal(data, &res) != nil {
-		return JobResult{}, false
-	}
-	return res, res.ID == id && res.Sealed
-}
-
-// writeResult seals a job's result document (temp + fsync + rename — the
-// one spool write that renames), feeding the outcome to the disk governor.
-func (q *Queue) writeResult(id string, data []byte) error {
-	err := artifact.WriteFileAtomicFS(q.fs, q.resultPath(id), 0o644, func(w io.Writer) error {
-		_, werr := w.Write(data)
-		return werr
-	})
-	if q.disk != nil {
-		q.disk.ObserveWrite(err)
-	}
-	return err
-}
 
 // Recovery returns the report of the Open-time recovery pass.
 func (q *Queue) Recovery() *RecoveryReport {
@@ -557,20 +520,19 @@ func (q *Queue) Next(ctx context.Context) (JobRecord, error) {
 	}
 }
 
-// Progress updates a running job's counters and journals them, together
-// with the canonical record of the point that just completed (nil when none
-// did). The append is best-effort: a lost record only means that point
-// re-runs on resume.
-func (q *Queue) Progress(id string, done, total int, record []byte) {
-	q.journalPoints(id, []Event{{Type: EventProgress, Done: done, Total: total, Record: record}})
+// Progress updates a running job's counters and journals them. It carries
+// no point record, so the append is best-effort.
+func (q *Queue) Progress(id string, done, total int) {
+	_ = q.journalPoints(id, []Event{{Type: EventProgress, Done: done, Total: total}})
 }
 
-// journalPoints is Progress for a run of point events — progress events in
-// done order, each failed point's failure-log entry just before its
-// progress event — journaled in one group commit. The job's counters take
-// the last progress event's. Progress events are journaled only while the
-// job is running.
-func (q *Queue) journalPoints(id string, evs []Event) {
+// journalPoints journals a run of point events — progress events in done
+// order, each carrying its point's canonical record, and each failed
+// point's failure-log entry just before its progress event — in one group
+// commit. The job's counters take the last progress event's. Progress
+// events are journaled only while the job is running. A failed append
+// leaves none of the run in the journal, so the caller may retry it.
+func (q *Queue) journalPoints(id string, evs []Event) error {
 	q.mu.Lock()
 	rec, ok := q.jobs[id]
 	running := ok && rec.State == StateRunning
@@ -590,15 +552,29 @@ func (q *Queue) journalPoints(id string, evs []Event) {
 	// must not serialize queue operations. Ordering versus the terminal
 	// transition is safe because Finalize runs strictly after the sweep —
 	// and therefore after every point is journaled — completes.
-	_ = q.events.EmitBatch(id, evs)
+	return q.events.EmitBatch(id, evs)
 }
 
-// Finalize moves a job to a terminal state and journals it. For StateDone
-// the caller must have sealed the result file first — recovery depends on
-// that ordering.
-func (q *Queue) Finalize(id string, state JobState, errMsg string, survivors, quarantined int) error {
-	if !state.Terminal() {
-		return fmt.Errorf("dsed: finalize %s to non-terminal state %q", id, state)
+// Verdict is a job's terminal outcome: what its terminal state event
+// journals.
+type Verdict struct {
+	State       JobState
+	Error       string
+	Survivors   int
+	Quarantined int
+	// TraceEvents is the replayed trace's event count; set for StateDone
+	// (see Event.TraceEvents).
+	TraceEvents int64
+}
+
+// Finalize journals a job's terminal state event and only then applies it,
+// so a failed append leaves the job as its journal has it: not terminal.
+// For StateDone the event is the commit point — every point record must
+// already be journaled — and result, the report the scheduler rendered
+// (nil when none), is cached for Result.
+func (q *Queue) Finalize(id string, v Verdict, result []byte) error {
+	if !v.State.Terminal() {
+		return fmt.Errorf("dsed: finalize %s to non-terminal state %q", id, v.State)
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -606,33 +582,23 @@ func (q *Queue) Finalize(id string, state JobState, errMsg string, survivors, qu
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
-	if err := q.finalizeLocked(rec, state, errMsg, survivors, quarantined, state == StateDone); err != nil {
+	if err := q.events.Emit(id, Event{
+		Type:        EventState,
+		State:       v.State,
+		Attempt:     rec.Attempt,
+		Error:       v.Error,
+		Survivors:   v.Survivors,
+		Quarantined: v.Quarantined,
+		TraceEvents: v.TraceEvents,
+	}); err != nil {
 		return fmt.Errorf("dsed: persist finalize %s: %w", id, err)
 	}
-	return nil
-}
-
-// finalizeLocked applies a terminal transition and journals it, preceded
-// by a seal event when seal is set: by the time a client sees "done", the
-// sealed report the query endpoints serve from is already committed. The
-// seal append is best-effort; the terminal append's error is returned.
-// Caller holds q.mu.
-func (q *Queue) finalizeLocked(rec *JobRecord, state JobState, errMsg string, survivors, quarantined int, seal bool) error {
-	rec.State = state
-	rec.Error = errMsg
-	rec.Survivors = survivors
-	rec.Quarantined = quarantined
-	if seal {
-		q.emit(rec.Spec.ID, Event{Type: EventSeal, Survivors: survivors, Quarantined: quarantined})
+	rec.State, rec.Error = v.State, v.Error
+	rec.Survivors, rec.Quarantined, rec.TraceEvents = v.Survivors, v.Quarantined, v.TraceEvents
+	if v.State == StateDone && result != nil {
+		q.results.put(id, result)
 	}
-	return q.events.Emit(rec.Spec.ID, Event{
-		Type:        EventState,
-		State:       state,
-		Attempt:     rec.Attempt,
-		Error:       errMsg,
-		Survivors:   survivors,
-		Quarantined: quarantined,
-	})
+	return nil
 }
 
 // Requeue returns a running job to the queued state without counting the
@@ -715,23 +681,17 @@ func (q *Queue) List() []JobRecord {
 // ErrNotTerminal reports a GC attempt on a job that is still live.
 var ErrNotTerminal = errors.New("dsed: job not terminal")
 
-// JobBytes sums the on-disk footprint of one job's spool files.
+// JobBytes is the on-disk footprint of one job: its journal.
 func (q *Queue) JobBytes(id string) int64 {
-	var total int64
-	for _, path := range []string{q.journalPath(id), q.resultPath(id)} {
-		if info, err := q.fs.Stat(path); err == nil {
-			total += info.Size()
-		}
+	if info, err := q.fs.Stat(q.journalPath(id)); err == nil {
+		return info.Size()
 	}
-	return total
+	return 0
 }
 
-// GCJob removes a terminal job from the spool and the index. The journal
-// is the job's record, so it goes first, together with the index entry and
-// the in-memory stream (no handle keeps a deleted file alive): once it is
-// gone recovery can never re-animate the job, and a crash before the
-// result is removed leaves only an orphan the janitor collects. Live jobs
-// are refused. Returns the bytes freed.
+// GCJob removes a terminal job from the spool and the index: its journal,
+// its in-memory stream (no handle keeps a deleted file alive) and its
+// cached report. Live jobs are refused. Returns the bytes freed.
 func (q *Queue) GCJob(id string) (int64, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -748,7 +708,7 @@ func (q *Queue) GCJob(id string) (int64, error) {
 		return 0, fmt.Errorf("dsed: gc %s: %w", id, err)
 	}
 	delete(q.jobs, id)
-	_ = q.fs.Remove(q.resultPath(id))
+	q.results.drop(id)
 	return freed, nil
 }
 

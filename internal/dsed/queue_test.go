@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -241,7 +240,7 @@ func TestRecoveryRequeuesAndResumes(t *testing.T) {
 	if _, err := q.Next(ctx); err != nil { // third → running
 		t.Fatal(err)
 	}
-	if err := q.Finalize("third", StateDone, "", 5, 0); err != nil {
+	if err := q.Finalize("third", Verdict{State: StateDone, Survivors: 5}, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -268,67 +267,6 @@ func TestRecoveryRequeuesAndResumes(t *testing.T) {
 	done, _ := q2.Get("third")
 	if done.State != StateDone || done.Survivors != 5 {
 		t.Fatalf("terminal job disturbed by recovery: %+v", done)
-	}
-}
-
-// TestRecoveryAdoptsSealedResult covers the crash window between result
-// seal and terminal event: recovery must finalize the job as done without
-// re-running anything.
-func TestRecoveryAdoptsSealedResult(t *testing.T) {
-	dir := t.TempDir()
-	q, err := OpenQueue(dir, QueueOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := q.Submit(workloadSpec("adopt-me", "")); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if _, err := q.Next(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the scheduler having committed the sealed result just before
-	// the crash.
-	if err := artifact.WriteFileAtomic(q.resultPath("adopt-me"), 0o644, func(w io.Writer) error {
-		_, werr := io.WriteString(w, `{"id":"adopt-me","total":1,"survivors":1,"records":[],"sealed":true}`+"\n")
-		return werr
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	q2, err := OpenQueue(dir, QueueOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := q2.Recovery(); rep.Adopted != 1 || rep.Resumed != 0 {
-		t.Fatalf("recovery report: %+v", rep)
-	}
-	rec, err := q2.Get("adopt-me")
-	if err != nil || rec.State != StateDone {
-		t.Fatalf("adopted job: %+v err=%v", rec, err)
-	}
-	// An unsealed (torn) result must NOT be adopted.
-	dir2 := t.TempDir()
-	q3, err := OpenQueue(dir2, QueueOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := q3.Submit(workloadSpec("torn", "")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q3.Next(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(q3.resultPath("torn"), []byte(`{"id":"torn","sea`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	q4, err := OpenQueue(dir2, QueueOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := q4.Recovery(); rep.Adopted != 0 || rep.Resumed != 1 {
-		t.Fatalf("torn result adopted: %+v", rep)
 	}
 }
 
@@ -406,14 +344,21 @@ func TestRequeuePreservesAttempt(t *testing.T) {
 }
 
 // TestOpenRefusesRetiredSpoolLayout: a spool whose job records live in
-// jobs/ cannot be folded from its journals; opening it must fail rather
-// than quarantine every journal.
+// jobs/ cannot be folded from its journals, and one that keeps sealed
+// results in results/ has done events its results cannot be re-derived
+// from; opening either must fail rather than quarantine or misread every
+// journal, and must leave the spool as it was.
 func TestOpenRefusesRetiredSpoolLayout(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenQueue(dir, QueueOptions{}); err == nil || !strings.Contains(err.Error(), "jobs/") {
-		t.Fatalf("OpenQueue over a jobs/ spool: %v, want a layout error", err)
+	for _, retired := range []string{"jobs", "results"} {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, retired), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenQueue(dir, QueueOptions{}); err == nil || !strings.Contains(err.Error(), retired+"/") {
+			t.Fatalf("OpenQueue over a %s/ spool: %v, want a layout error", retired, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, eventsDir)); !os.IsNotExist(err) {
+			t.Fatalf("refused %s/ spool gained an %s/ directory: %v", retired, eventsDir, err)
+		}
 	}
 }

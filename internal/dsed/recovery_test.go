@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"graphdse/internal/artifact"
 	"graphdse/internal/dse"
 )
 
@@ -51,12 +50,26 @@ func runQueued(t *testing.T, q *Queue, cache *TraceCache) {
 	}
 }
 
+// jobResult returns done job id's report through Queue.Result.
+func jobResult(t *testing.T, q *Queue, id string) []byte {
+	t.Helper()
+	rec, err := q.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := q.Result(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestRecoveryAtEveryFrame crashes a job at every frame boundary of its
 // journal — and again with a torn half-frame after each boundary — by
 // reopening a spool holding just that prefix, then lets the job finish.
-// Where the crash could have left the sealed result either written or not,
-// both spools are tried. Every recovery must be classified as DESIGN.md §10
-// says, seal the reference run's bytes, journal each point record exactly
+// Every recovery must be classified as DESIGN.md §10 says, commit the
+// reference run's result bytes (both as cached at commit and as re-derived
+// from the journal after a restart), journal each point record exactly
 // once, and keep the event seqs contiguous.
 func TestRecoveryAtEveryFrame(t *testing.T) {
 	cache := NewTraceCache(1)
@@ -73,12 +86,9 @@ func TestRecoveryAtEveryFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	runQueued(t, ref, cache)
+	result := jobResult(t, ref, spec.ID)
 	ref.Close()
 	journal, err := os.ReadFile(ref.journalPath(spec.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	result, err := os.ReadFile(ref.resultPath(spec.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +98,9 @@ func TestRecoveryAtEveryFrame(t *testing.T) {
 		off += bytes.IndexByte(journal[off:], '\n') + 1
 		bounds = append(bounds, off)
 	}
-	sealFrame, lastPoint, failures := -1, -1, 0
+	lastPoint, failures := -1, 0
 	for i, ev := range frames {
 		switch ev.Type {
-		case EventSeal:
-			sealFrame = i
 		case EventProgress:
 			if len(ev.Record) > 0 {
 				lastPoint = i
@@ -102,9 +110,9 @@ func TestRecoveryAtEveryFrame(t *testing.T) {
 		}
 	}
 	last := frames[len(frames)-1]
-	if last.State != StateDone || sealFrame != len(frames)-2 || lastPoint != sealFrame-1 || failures == 0 {
-		t.Fatalf("reference journal: %d frames, seal at %d, last point at %d, %d failures, ends %+v",
-			len(frames), sealFrame, lastPoint, failures, last)
+	if last.State != StateDone || last.TraceEvents == 0 || lastPoint != len(frames)-2 || failures == 0 {
+		t.Fatalf("reference journal: %d frames, last point at %d, %d failures, ends %+v",
+			len(frames), lastPoint, failures, last)
 	}
 
 	for k := 0; k < len(bounds); k++ {
@@ -112,47 +120,33 @@ func TestRecoveryAtEveryFrame(t *testing.T) {
 			if torn && k == len(frames) {
 				continue // nothing follows the terminal frame
 			}
-			// The result is sealed after the last point frame and before
-			// the seal frame is appended: a crash in between may have left
-			// it either way; after the seal frame it must be there.
-			must := (torn && k >= sealFrame) || (!torn && k > sealFrame)
-			may := must || (!torn && k > lastPoint)
-			for _, sealed := range []bool{false, true} {
-				if (sealed && !may) || (!sealed && must) {
-					continue
+			// The "sealed=false" suffix dates from spools that could also
+			// hold a sealed result file; none does now, and the names stay
+			// comparable across runs of older trees.
+			name := fmt.Sprintf("frame%02d/torn=%v/sealed=false", k, torn)
+			t.Run(name, func(t *testing.T) {
+				prefix := journal[:bounds[k]]
+				if torn {
+					prefix = journal[:bounds[k]+(bounds[k+1]-bounds[k])/2]
 				}
-				name := fmt.Sprintf("frame%02d/torn=%v/sealed=%v", k, torn, sealed)
-				t.Run(name, func(t *testing.T) {
-					prefix := journal[:bounds[k]]
-					if torn {
-						prefix = journal[:bounds[k]+(bounds[k+1]-bounds[k])/2]
-					}
-					recoverPrefix(t, cache, spec, points, prefix, frames[:k], sealed, result)
-				})
-			}
+				recoverPrefix(t, cache, spec, points, prefix, frames[:k], result)
+			})
 		}
 	}
 }
 
 // recoverPrefix opens a spool whose journal holds prefix — the frames of
-// durable, possibly followed by a torn one — and, when sealed, the
-// reference result; checks the recovery classification; finishes the job;
-// and checks what it sealed and journaled.
-func recoverPrefix(t *testing.T, cache *TraceCache, spec JobSpec, points []dse.DesignPoint, prefix []byte, durable []Event, sealed bool, result []byte) {
+// durable, possibly followed by a torn one —, checks the recovery
+// classification, finishes the job, and checks what it committed and
+// journaled.
+func recoverPrefix(t *testing.T, cache *TraceCache, spec JobSpec, points []dse.DesignPoint, prefix []byte, durable []Event, result []byte) {
 	dir := t.TempDir()
-	for _, sub := range []string{eventsDir, resultsDir} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, eventsDir), 0o755); err != nil {
+		t.Fatal(err)
 	}
 	journalPath := filepath.Join(dir, eventsDir, spec.ID+".jsonl")
 	if err := os.WriteFile(journalPath, prefix, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if sealed {
-		if err := os.WriteFile(filepath.Join(dir, resultsDir, spec.ID+".json"), result, 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 	q, err := OpenQueue(dir, QueueOptions{})
 	if err != nil {
@@ -174,8 +168,6 @@ func recoverPrefix(t *testing.T, cache *TraceCache, spec JobSpec, points []dse.D
 		want.Terminal = 1
 	case lastState == StateQueued:
 		want.Requeued = 1
-	case sealed:
-		want.Adopted = 1
 	default:
 		want.Resumed = 1
 	}
@@ -204,16 +196,31 @@ func recoverPrefix(t *testing.T, cache *TraceCache, spec JobSpec, points []dse.D
 	if rec, err := q.Get(spec.ID); err != nil || rec.State != StateDone {
 		t.Fatalf("recovered job: %+v err=%v", rec, err)
 	}
-	got, err := os.ReadFile(q.resultPath(spec.ID))
+	if got := jobResult(t, q, spec.ID); !bytes.Equal(got, result) {
+		t.Fatalf("committed result differs from the uninterrupted run's:\n%s\nvs\n%s", got, result)
+	}
+	checkPointJournal(t, q.events.History(spec.ID), points)
+
+	// After a restart nothing is cached: the result is re-derived from the
+	// journal, byte for byte.
+	q.Close()
+	q2, err := OpenQueue(dir, QueueOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, result) {
-		t.Fatalf("sealed result differs from the uninterrupted run's:\n%s\nvs\n%s", got, result)
+	defer q2.Close()
+	if got := jobResult(t, q2, spec.ID); !bytes.Equal(got, result) {
+		t.Fatalf("result re-derived from the journal differs from the uninterrupted run's:\n%s\nvs\n%s", got, result)
 	}
-	evs, _ := scanJournal(artifact.OS, journalPath)
+}
+
+// checkPointJournal checks a done job's journal history: contiguous seqs
+// from 1, exactly one terminal event and it last, every point's record
+// exactly once, and the records' done counts running 1, 2, … in order.
+func checkPointJournal(t *testing.T, evs []Event, points []dse.DesignPoint) {
+	t.Helper()
 	seen := make(map[string]int)
-	seals, terminals := 0, 0
+	terminals, done := 0, 0
 	for i, ev := range evs {
 		if ev.Seq != uint64(i+1) {
 			t.Fatalf("event %d carries seq %d: seqs not contiguous", i, ev.Seq)
@@ -227,14 +234,15 @@ func recoverPrefix(t *testing.T, cache *TraceCache, spec JobSpec, points []dse.D
 				t.Fatal(err)
 			}
 			seen[rec.ID]++
-		case ev.Type == EventSeal:
-			seals++
+			if done++; ev.Done != done {
+				t.Fatalf("point record %d carries done %d: done counts out of order", done, ev.Done)
+			}
 		case ev.Terminal():
 			terminals++
 		}
 	}
-	if seals != 1 || terminals != 1 || !evs[len(evs)-1].Terminal() {
-		t.Fatalf("journal holds %d seals and %d terminal events (last %+v), want one each, terminal last", seals, terminals, evs[len(evs)-1])
+	if terminals != 1 || !evs[len(evs)-1].Terminal() {
+		t.Fatalf("journal holds %d terminal events (last %+v), want one, last", terminals, evs[len(evs)-1])
 	}
 	if len(seen) != len(points) {
 		t.Fatalf("journal holds records for %d of %d points", len(seen), len(points))

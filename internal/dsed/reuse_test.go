@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -54,7 +53,7 @@ func newReuseDaemonOpts(t *testing.T, cacheEntries int, qopts QueueOptions) *reu
 	return d
 }
 
-// run drives one job to a terminal state and returns its sealed result.
+// run drives one job to a terminal state and returns its result.
 func (d *reuseDaemon) run(spec JobSpec) []byte {
 	d.t.Helper()
 	if _, _, err := d.q.Submit(spec); err != nil {
@@ -70,11 +69,7 @@ func (d *reuseDaemon) run(spec JobSpec) []byte {
 	if got, err := d.q.Get(spec.ID); err != nil || got.State != StateDone {
 		d.t.Fatalf("job %s: %+v err=%v", spec.ID, got, err)
 	}
-	data, err := os.ReadFile(d.q.resultPath(spec.ID))
-	if err != nil {
-		d.t.Fatal(err)
-	}
-	return data
+	return jobResult(d.t, d.q, spec.ID)
 }
 
 // logged reports whether the scheduler logged line.
@@ -358,10 +353,7 @@ func TestReuseConcurrentWorkers(t *testing.T) {
 
 	fresh := newReuseDaemon(t, 2).run(reuseSpec("fresh", smallSpace()))
 	for _, id := range []string{"left", "right"} {
-		data, err := os.ReadFile(q.resultPath(id))
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := jobResult(t, q, id)
 		if !sameResult(t, data, fresh) {
 			t.Fatalf("job %s differs from a fresh daemon's:\n%s\nvs\n%s", id, data, fresh)
 		}

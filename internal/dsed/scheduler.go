@@ -4,12 +4,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -158,8 +156,8 @@ func (s *Scheduler) runJob(parent context.Context, rec JobRecord) {
 		defer tcancel()
 	}
 
-	state, errMsg, survivors, quarantined := s.executeJob(runCtx, &rec)
-	if state == "" {
+	v, result := s.executeJob(runCtx, &rec)
+	if v.State == "" {
 		// Daemon shutdown: put the job back (durably) for the next daemon.
 		if err := s.q.Requeue(id); err != nil {
 			s.opts.Logf("dsed: job %s requeue: %v", id, err)
@@ -167,47 +165,47 @@ func (s *Scheduler) runJob(parent context.Context, rec JobRecord) {
 		s.opts.Logf("dsed: job %s interrupted by drain; journaled for resume", id)
 		return
 	}
-	if err := s.q.Finalize(id, state, errMsg, survivors, quarantined); err != nil {
+	// The terminal append rides out degraded storage like the point
+	// records do. If it still fails, the journal says running and the
+	// next daemon resumes the job, which then sweeps nothing and commits.
+	if err := s.persist(parent, id, "finalize", func() error { return s.q.Finalize(id, v, result) }); err != nil {
 		s.opts.Logf("dsed: job %s finalize: %v", id, err)
 		return
 	}
-	if errMsg != "" {
-		s.opts.Logf("dsed: job %s -> %s: %s", id, state, errMsg)
+	if v.Error != "" {
+		s.opts.Logf("dsed: job %s -> %s: %s", id, v.State, v.Error)
 	} else {
-		s.opts.Logf("dsed: job %s -> %s (%d survivors)", id, state, survivors)
+		s.opts.Logf("dsed: job %s -> %s (%d survivors)", id, v.State, v.Survivors)
 	}
 }
 
-// executeJob runs the sweep pipeline and classifies the outcome. An empty
-// returned state means "daemon is shutting down — do not finalize".
-func (s *Scheduler) executeJob(ctx context.Context, rec *JobRecord) (state JobState, errMsg string, survivors, quarantined int) {
+// executeJob runs the sweep pipeline and classifies the outcome, returning
+// the report for a done job. An empty verdict state means "daemon is
+// shutting down — do not finalize".
+func (s *Scheduler) executeJob(ctx context.Context, rec *JobRecord) (Verdict, []byte) {
 	id := rec.Spec.ID
 	entry, err := s.loadTrace(ctx, &rec.Spec)
 	if err != nil {
 		if outcome, msg := interruptOutcome(ctx); outcome != StateRunning {
-			return outcome, msg, 0, 0
+			return Verdict{State: outcome, Error: msg}, nil
 		}
-		return StateFailed, fmt.Sprintf("trace: %v", err), 0, 0
+		return Verdict{State: StateFailed, Error: fmt.Sprintf("trace: %v", err)}, nil
 	}
 	pt := entry.pt
 
-	var space dse.SpaceParams
-	if rec.Spec.Space != nil {
-		space = *rec.Spec.Space
-	}
-	points := dse.EnumerateSpace(space)
+	points := rec.Spec.points()
 	// Resume: every point record the journal holds is final, so only the
 	// missing points are swept. On a first run that is all of them.
-	have, err := s.journaledRecords(id, points)
+	have, err := journaledRecords(s.q.events.History(id), points)
 	if err != nil {
-		return StateFailed, fmt.Sprintf("journal: %v", err), 0, 0
+		return Verdict{State: StateFailed, Error: fmt.Sprintf("journal: %v", err)}, nil
 	}
 	var faults *dse.FaultInjector
 	if rec.Spec.FailureRate > 0 {
 		faults = dse.PaperFaults(rec.Spec.FailureRate, rec.Spec.FailureSeed)
 	}
-	s.q.Progress(id, len(have), len(points), nil)
-	journal := s.startPointJournal(id, len(have), len(points))
+	s.q.Progress(id, len(have), len(points))
+	journal := s.startPointJournal(ctx, id, len(have), len(points))
 	defer journal.close()
 	// onRecord receives every terminal record, swept or reused, and hands it
 	// to the job's journal writer. A record cut short by cancellation is
@@ -241,7 +239,7 @@ func (s *Scheduler) executeJob(ctx context.Context, rec *JobRecord) (state JobSt
 		if faults.Decide(p, 1) == dse.FaultNone {
 			if r, ok := entry.records.lookup(p); ok {
 				if outcome, msg := interruptOutcome(ctx); outcome != StateRunning {
-					return outcome, msg, 0, 0
+					return Verdict{State: outcome, Error: msg}, nil
 				}
 				records[i] = r
 				onRecord(r)
@@ -267,58 +265,56 @@ func (s *Scheduler) executeJob(ctx context.Context, rec *JobRecord) (state JobSt
 		// below, so a subset in which every point failed is not an error.
 		swept, sweepErr := dse.SweepPreparedContext(ctx, pt, missing, so)
 		if outcome, msg := interruptOutcome(ctx); outcome != StateRunning {
-			return outcome, msg, 0, 0
+			return Verdict{State: outcome, Error: msg}, nil
 		}
 		if sweepErr != nil && !errors.Is(sweepErr, dse.ErrAllFailed) {
-			return StateFailed, fmt.Sprintf("sweep: %v", sweepErr), 0, 0
+			return Verdict{State: StateFailed, Error: fmt.Sprintf("sweep: %v", sweepErr)}, nil
 		}
 		for k, r := range swept {
 			records[slots[k]] = r
 		}
 	}
-	// Every record is journaled before the result is sealed, so a done
-	// job's journal holds all of its points.
-	journal.close()
+	// Every record is journaled before the job can commit, so a done job's
+	// journal holds all of its points.
+	if err := journal.close(); err != nil {
+		if outcome, msg := interruptOutcome(ctx); outcome != StateRunning {
+			return Verdict{State: outcome, Error: msg}, nil
+		}
+		return Verdict{State: StateFailed, Error: fmt.Sprintf("journal: %v", err)}, nil
+	}
 	sweepErr := dse.CheckSurvivors(records, rec.Spec.MinSurvivors)
 	if errors.Is(sweepErr, dse.ErrAllFailed) {
-		return StateFailed, fmt.Sprintf("sweep: %v", sweepErr), 0, 0
+		return Verdict{State: StateFailed, Error: fmt.Sprintf("sweep: %v", sweepErr)}, nil
 	}
 
 	// Physical-invariant gate: quarantine finite-but-impossible results,
 	// then re-check survivorship over what remains.
 	gate, gateErr := dse.ApplyInvariantGate(records, int64(pt.Len()))
 	if gateErr != nil {
-		return StateFailed, fmt.Sprintf("invariant gate: %v", gateErr), 0, gate.Quarantined
+		return Verdict{State: StateFailed, Error: fmt.Sprintf("invariant gate: %v", gateErr), Quarantined: gate.Quarantined}, nil
+	}
+	v := Verdict{State: StateDone, Survivors: gate.Survivors, Quarantined: gate.Quarantined}
+	if sweepErr == nil {
+		sweepErr = dse.CheckSurvivors(records, rec.Spec.MinSurvivors)
 	}
 	if sweepErr != nil {
-		// MinSurvivors failed before the gate even ran.
+		// MinSurvivors failed before the gate ran, or the gate pushed the
+		// sweep back under it: physically impossible output is a
+		// quarantine, not a retry.
+		v.State, v.Error = StateFailed, sweepErr.Error()
 		if gate.Quarantined > 0 {
-			return StateQuarantined, sweepErr.Error(), gate.Survivors, gate.Quarantined
+			v.State = StateQuarantined
 		}
-		return StateFailed, sweepErr.Error(), gate.Survivors, gate.Quarantined
-	}
-	if err := dse.CheckSurvivors(records, rec.Spec.MinSurvivors); err != nil {
-		// The sweep cleared the bar but the gate pushed it back under:
-		// physically impossible output is a quarantine, not a retry.
-		if gate.Quarantined > 0 {
-			return StateQuarantined, err.Error(), gate.Survivors, gate.Quarantined
-		}
-		return StateFailed, err.Error(), gate.Survivors, gate.Quarantined
+		return v, nil
 	}
 
 	data, err := buildResult(id, records, gate)
 	if err != nil {
-		return StateFailed, fmt.Sprintf("result: %v", err), gate.Survivors, gate.Quarantined
+		v.State, v.Error = StateFailed, fmt.Sprintf("result: %v", err)
+		return v, nil
 	}
-	// Result before terminal event: recovery adopts a running job with a
-	// sealed result as done, so a crash between the two loses nothing.
-	if err := s.sealResult(ctx, id, data); err != nil {
-		if outcome, msg := interruptOutcome(ctx); outcome != StateRunning {
-			return outcome, msg, gate.Survivors, gate.Quarantined
-		}
-		return StateFailed, fmt.Sprintf("persist result: %v", err), gate.Survivors, gate.Quarantined
-	}
-	return StateDone, "", gate.Survivors, gate.Quarantined
+	v.TraceEvents = int64(pt.Len())
+	return v, data
 }
 
 // maxJournalBatch caps the events one group commit of a job's point
@@ -329,11 +325,16 @@ const maxJournalBatch = 16
 // its own goroutine. A sweep worker hands a record over and goes on to the
 // next point instead of waiting for the journal's fsync, and records that
 // arrive while an append is in flight — reused records arrive all at once
-// — share the next append and fsync (up to maxJournalBatch events).
+// — share the next append and fsync (up to maxJournalBatch events). A
+// failed append is retried in place (see persist) before the next batch,
+// so done counts stay in order; once the writer gives up, it drops every
+// later record and close reports why.
 type pointJournal struct {
 	s         *Scheduler
+	ctx       context.Context
 	id        string
-	done      int // points journaled so far; owned by run
+	done      int   // points journaled so far; owned by run
+	err       error // why the writer gave up; owned by run until finished
 	total     int
 	recs      chan dse.RunRecord
 	finished  chan struct{}
@@ -341,10 +342,11 @@ type pointJournal struct {
 }
 
 // startPointJournal starts job id's journal writer; done points are
-// already journaled.
-func (s *Scheduler) startPointJournal(id string, done, total int) *pointJournal {
+// already journaled. ctx bounds the writer's retries.
+func (s *Scheduler) startPointJournal(ctx context.Context, id string, done, total int) *pointJournal {
 	j := &pointJournal{
 		s:     s,
+		ctx:   ctx,
 		id:    id,
 		done:  done,
 		total: total,
@@ -360,17 +362,22 @@ func (s *Scheduler) startPointJournal(id string, done, total int) *pointJournal 
 // add queues one terminal record for the journal.
 func (j *pointJournal) add(r dse.RunRecord) { j.recs <- r }
 
-// close returns once every added record is journaled and the writer has
-// exited. It is idempotent.
-func (j *pointJournal) close() {
+// close returns once every added record is journaled, or the writer has
+// given up, and the writer has exited; the error says why it gave up. It
+// is idempotent.
+func (j *pointJournal) close() error {
 	j.closeOnce.Do(func() { close(j.recs) })
 	<-j.finished
+	return j.err
 }
 
 func (j *pointJournal) run() {
 	defer close(j.finished)
 	var evs []Event
 	for r := range j.recs {
+		if j.err != nil {
+			continue
+		}
 		evs = j.appendPoint(evs[:0], r)
 	batch:
 		for len(evs) < maxJournalBatch {
@@ -384,7 +391,7 @@ func (j *pointJournal) run() {
 				break batch
 			}
 		}
-		j.s.q.journalPoints(j.id, evs)
+		j.err = j.s.persist(j.ctx, j.id, "journal", func() error { return j.s.q.journalPoints(j.id, evs) })
 	}
 }
 
@@ -409,47 +416,23 @@ func (j *pointJournal) appendPoint(evs []Event, r dse.RunRecord) []Event {
 	return append(evs, Event{Type: EventProgress, Done: j.done, Total: j.total, Record: line})
 }
 
-// journaledRecords decodes the point records job id's journal holds, keyed
-// by point ID. The frames are CRC-checked, so a record that fails to decode
-// is a bug, not damage, and fails the job rather than being re-run.
-func (s *Scheduler) journaledRecords(id string, points []dse.DesignPoint) (map[string]dse.RunRecord, error) {
-	var lines []json.RawMessage
-	for _, ev := range s.q.events.History(id) {
-		if ev.Type == EventProgress && len(ev.Record) > 0 {
-			lines = append(lines, ev.Record)
-		}
-	}
-	have := make(map[string]dse.RunRecord, len(lines))
-	if len(lines) == 0 {
-		return have, nil
-	}
-	recs, err := dse.DecodeCanonicalRecords(lines, points)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range recs {
-		have[r.Point.ID()] = r
-	}
-	return have, nil
-}
-
-// sealResult commits the result document, riding out degraded storage: a
-// finished sweep's work is never discarded just because the disk is
-// momentarily full. Every attempt's outcome feeds the disk governor; while
-// the governor reports degraded, the seal parks on AwaitWritable (a drain
-// interrupts it, requeueing the job to re-seal under the next daemon).
-// Failures the governor does not attribute to the disk get a short bounded
-// retry before failing the job.
-func (s *Scheduler) sealResult(ctx context.Context, id string, data []byte) error {
+// persist runs one journal append of job id until it succeeds, riding out
+// degraded storage: a job's finished work is never discarded just because
+// the disk is momentarily full. Every attempt's outcome feeds the disk
+// governor; while the governor reports degraded, persist parks on
+// AwaitWritable (a drain interrupts it, and the job resumes under the next
+// daemon). Failures the governor does not attribute to the disk get a
+// short bounded retry. It returns the last error when it gives up.
+func (s *Scheduler) persist(ctx context.Context, id, what string, write func() error) error {
 	disk := s.q.Disk()
 	const maxIsolated = 5
 	for attempt := 0; ; attempt++ {
-		err := s.q.writeResult(id, data)
+		err := write()
 		if err == nil {
 			return nil
 		}
 		if disk != nil && !disk.Writable() {
-			s.opts.Logf("dsed: job %s result seal blocked on degraded storage (%v); waiting", id, err)
+			s.opts.Logf("dsed: job %s %s blocked on degraded storage (%v); waiting", id, what, err)
 			if !disk.AwaitWritable(ctx) {
 				return err
 			}
@@ -561,50 +544,4 @@ func decodeTraceFile(ctx context.Context, path string) (*memsim.PreparedTrace, e
 	}
 	defer f.Close()
 	return memsim.PrepareSource(trace.NewBinarySource(f))
-}
-
-// JobResult is the durable final report of one completed job. Everything in
-// it is deterministic for a given spec — Records are the canonical sorted
-// record encodings, Pareto the sorted non-dominated point IDs — which
-// is what makes a resumed job's report byte-identical to an uninterrupted
-// one.
-type JobResult struct {
-	ID          string            `json:"id"`
-	Total       int               `json:"total"`
-	Survivors   int               `json:"survivors"`
-	Quarantined int               `json:"quarantined"`
-	Pareto      []string          `json:"pareto,omitempty"`
-	Records     []json.RawMessage `json:"records"`
-	// Sealed marks the report complete; recovery only adopts sealed
-	// results.
-	Sealed bool `json:"sealed"`
-}
-
-// buildResult renders the canonical report bytes.
-func buildResult(id string, records []dse.RunRecord, gate *dse.GateReport) ([]byte, error) {
-	canon, err := dse.CanonicalRecords(records)
-	if err != nil {
-		return nil, err
-	}
-	res := JobResult{
-		ID:          id,
-		Total:       len(records),
-		Survivors:   gate.Survivors,
-		Quarantined: gate.Quarantined,
-		Records:     canon,
-		Sealed:      true,
-	}
-	if front, perr := dse.ParetoFront(records, dse.DefaultObjectives()); perr == nil {
-		ids := make([]string, 0, len(front))
-		for _, r := range front {
-			ids = append(ids, r.Point.ID())
-		}
-		sort.Strings(ids)
-		res.Pareto = ids
-	}
-	out, err := json.Marshal(&res)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

@@ -230,21 +230,31 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, statusOf(rec))
 }
 
-// handleResult serves the sealed result document of a done job.
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+// doneResult loads job id's report (Queue.Result) for the read endpoints:
+// 404 for an unknown job, 409 until it is done. On false the HTTP error is
+// already written.
+func (s *Server) doneResult(w http.ResponseWriter, id string) (JobRecord, []byte, bool) {
 	rec, err := s.q.Get(id)
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
-		return
+		return JobRecord{}, nil, false
 	}
 	if rec.State != StateDone {
 		writeJSON(w, http.StatusConflict, apiError{Error: fmt.Sprintf("dsed: job %s is %s, result available once done", id, rec.State)})
-		return
+		return JobRecord{}, nil, false
 	}
-	data, err := s.q.fs.ReadFile(s.q.resultPath(id))
+	data, err := s.q.Result(rec)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: fmt.Sprintf("dsed: read result: %v", err)})
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: fmt.Sprintf("dsed: result: %v", err)})
+		return JobRecord{}, nil, false
+	}
+	return rec, data, true
+}
+
+// handleResult serves the report of a done job.
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	_, data, ok := s.doneResult(w, r.PathValue("id"))
+	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"time"
 
@@ -148,37 +147,22 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sealedRecords loads a done job's sealed report and decodes its canonical
-// records against the job's design space — the read side of the query
-// endpoints. The non-nil error is already HTTP-shaped (status + body
-// written).
+// sealedRecords loads a done job's report (doneResult) and decodes its
+// canonical records against the job's design space — the read side of the
+// query endpoints. On false the HTTP error is already written.
 func (s *Server) sealedRecords(w http.ResponseWriter, id string) ([]dse.RunRecord, bool) {
-	rec, err := s.q.Get(id)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
-		return nil, false
-	}
-	if rec.State != StateDone {
-		writeJSON(w, http.StatusConflict, apiError{Error: fmt.Sprintf("dsed: job %s is %s, queries available once done", id, rec.State)})
-		return nil, false
-	}
-	data, err := os.ReadFile(s.q.resultPath(id))
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: fmt.Sprintf("dsed: read result: %v", err)})
+	rec, data, ok := s.doneResult(w, id)
+	if !ok {
 		return nil, false
 	}
 	var res JobResult
-	if err := json.Unmarshal(data, &res); err != nil || !res.Sealed {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: fmt.Sprintf("dsed: result for %s is not a sealed report", id)})
+	if err := json.Unmarshal(data, &res); err != nil {
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: fmt.Sprintf("dsed: result for %s: %v", id, err)})
 		return nil, false
 	}
-	var space dse.SpaceParams
-	if rec.Spec.Space != nil {
-		space = *rec.Spec.Space
-	}
-	records, err := dse.DecodeCanonicalRecords(res.Records, dse.EnumerateSpace(space))
+	records, err := dse.DecodeCanonicalRecords(res.Records, rec.Spec.points())
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: fmt.Sprintf("dsed: decode sealed records: %v", err)})
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: fmt.Sprintf("dsed: decode result records: %v", err)})
 		return nil, false
 	}
 	return records, true
@@ -205,8 +189,8 @@ type ParetoResponse struct {
 	Front      []ParetoPoint `json:"front"`
 }
 
-// handlePareto recomputes the Pareto front of a done job from its sealed
-// report under the default paper objectives (min power and latencies, max
+// handlePareto recomputes the Pareto front of a done job from its report
+// under the default paper objectives (min power and latencies, max
 // bandwidth).
 func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
@@ -248,7 +232,7 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 }
 
 // RecommendResponse is the body of GET /v1/jobs/{id}/recommend: the §IV-B
-// co-design guidance recomputed from the job's sealed report.
+// co-design guidance recomputed from the job's report.
 type RecommendResponse struct {
 	ID                     string  `json:"id"`
 	BestPowerType          string  `json:"best_power_type"`
@@ -267,7 +251,7 @@ type RecommendResponse struct {
 }
 
 // handleRecommend recomputes the recommendation set from a done job's
-// sealed report. Model rankings (Table I) need a trained surrogate and are
+// report. Model rankings (Table I) need a trained surrogate and are
 // out of the daemon's scope, so BestModel is intentionally absent here —
 // `cmd/dse -recommend` remains the full offline path.
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {

@@ -66,7 +66,7 @@ func TestFollowReconnectResumesWithLastEventID(t *testing.T) {
 			if got := r.Header.Get("Last-Event-ID"); got != "3" {
 				t.Errorf("reconnect Last-Event-ID = %q, want 3", got)
 			}
-			sendEvent(w, Event{Seq: 4, Job: "j", Type: "seal"})
+			sendEvent(w, Event{Seq: 4, Job: "j", Type: "progress", Done: 5, Total: 5})
 			sendEvent(w, Event{Seq: 5, Job: "j", Type: "state", State: "done", Survivors: 7})
 		},
 	})
@@ -275,7 +275,6 @@ func TestEventTerminal(t *testing.T) {
 		{Event{Type: "state", State: "quarantined"}, true},
 		{Event{Type: "state", State: "running"}, false},
 		{Event{Type: "progress", State: "done"}, false},
-		{Event{Type: "seal"}, false},
 	} {
 		if got := tc.ev.Terminal(); got != tc.want {
 			t.Errorf("Terminal(%+v) = %v, want %v", tc.ev, got, tc.want)

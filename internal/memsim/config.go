@@ -252,6 +252,9 @@ func (c *Config) Validate() error {
 	if c.Timing.TBURST == 0 {
 		return fmt.Errorf("%w: zero TBURST", ErrConfig)
 	}
+	if err := c.Timing.checkRefresh("timing"); err != nil {
+		return err
+	}
 	if c.Type == Hybrid {
 		if c.DRAMFraction <= 0 || c.DRAMFraction >= 1 {
 			return fmt.Errorf("%w: hybrid DRAM fraction %v out of (0,1)", ErrConfig, c.DRAMFraction)
@@ -274,6 +277,9 @@ func (c *Config) Validate() error {
 		if c.CacheTiming.TBURST == 0 {
 			return fmt.Errorf("%w: hybrid without cache timing", ErrConfig)
 		}
+		if err := c.CacheTiming.checkRefresh("cache timing"); err != nil {
+			return err
+		}
 	}
 	if c.EnduranceLimit <= 0 {
 		if c.Type == DRAM {
@@ -281,6 +287,16 @@ func (c *Config) Validate() error {
 		} else {
 			c.EnduranceLimit = 1e8
 		}
+	}
+	return nil
+}
+
+// checkRefresh rejects a refresh that blocks its bank for at least the
+// whole refresh interval: serviceTier's refresh catch-up would then never
+// overtake the next refresh, and the replay would not end.
+func (t *Timing) checkRefresh(tier string) error {
+	if t.TREFI > 0 && t.TRFC >= t.TREFI {
+		return fmt.Errorf("%w: %s tRFC %d >= tREFI %d", ErrConfig, tier, t.TRFC, t.TREFI)
 	}
 	return nil
 }

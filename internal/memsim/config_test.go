@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -61,6 +62,40 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	h2.CacheTiming = Timing{}
 	if err := h2.Validate(); err == nil {
 		t.Fatal("expected cache-timing error")
+	}
+}
+
+// TestValidateRejectsRefreshNotShorterThanInterval: a tier whose tRFC is
+// not below its tREFI is refused for the main timing and for a hybrid's
+// cache timing alike; replaying it would never finish a refresh catch-up.
+func TestValidateRejectsRefreshNotShorterThanInterval(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		cache       bool
+		trefi, trfc uint64
+		ok          bool
+	}{
+		{"timing/longer", false, 82, 89, false},
+		{"timing/equal", false, 82, 82, false},
+		{"timing/shorter", false, 82, 81, true},
+		{"cache/longer", true, 82, 89, false},
+		{"cache/equal", true, 82, 82, false},
+		{"cache/shorter", true, 82, 81, true},
+		{"refresh-off", true, 0, 89, true},
+	} {
+		cfg := NewHybridConfig(2, 2000, 400, 20, 0.25)
+		tier := &cfg.Timing
+		if c.cache {
+			tier = &cfg.CacheTiming
+		}
+		tier.TREFI, tier.TRFC = c.trefi, c.trfc
+		err := cfg.Validate()
+		if c.ok && err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if !c.ok && !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: got %v, want ErrConfig", c.name, err)
+		}
 	}
 }
 
