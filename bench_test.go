@@ -41,7 +41,7 @@ var (
 func fixtures(b *testing.B) {
 	b.Helper()
 	fixOnce.Do(func() {
-		machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 1024, 16, 42, 1)
+		machine, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 1024, 16, 42, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func fixtures(b *testing.B) {
 			CtrlFreqsMHz: []float64{400, 1600},
 			Channels:     []int{2, 4},
 		})
-		records, err := dse.Sweep(fixTrace, points, dse.SweepOptions{FootprintLines: fixFoot})
+		records, err := dse.SweepPreparedContext(context.Background(), prepareFix(b), points, dse.SweepOptions{FootprintLines: fixFoot})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,6 +77,24 @@ func fixtures(b *testing.B) {
 	})
 }
 
+// prepareFix prepares the fixture trace afresh, so what replays it shares no
+// partition or suffix with any other run and pays the one-shot cost of
+// validation, decoding and partitioning.
+func prepareFix(b *testing.B) *memsim.PreparedTrace {
+	pt, err := memsim.Prepare(fixTrace)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pt
+}
+
+// replayFix is a one-shot replay of the fixture trace against cfg.
+func replayFix(b *testing.B, cfg memsim.Config) {
+	if _, err := memsim.RunPreparedTrace(cfg, prepareFix(b)); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkFigure2Sweep regenerates Figure 2: the full 416-configuration
 // design-space sweep over the paper workload trace plus the per-cell
 // aggregation.
@@ -85,10 +103,9 @@ func BenchmarkFigure2Sweep(b *testing.B) {
 	points := dse.EnumerateSpace(dse.SpaceParams{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		records, err := dse.Sweep(fixTrace, points, dse.SweepOptions{
+		records, err := dse.SweepPreparedContext(context.Background(), prepareFix(b), points, dse.SweepOptions{
 			FootprintLines: fixFoot,
-			FailureRate:    dse.PaperFailureRate,
-			FailureSeed:    1,
+			Faults:         dse.PaperFaults(dse.PaperFailureRate, 1),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -139,7 +156,7 @@ func BenchmarkFigure3Prediction(b *testing.B) {
 func BenchmarkRecommendation(b *testing.B) {
 	fixtures(b)
 	points := dse.EnumerateSpace(dse.SpaceParams{})
-	records, err := dse.Sweep(fixTrace, points, dse.SweepOptions{FootprintLines: fixFoot})
+	records, err := dse.SweepPreparedContext(context.Background(), prepareFix(b), points, dse.SweepOptions{FootprintLines: fixFoot})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -226,9 +243,7 @@ func BenchmarkMemsimReplay(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := memsim.RunTrace(c.cfg, fixTrace); err != nil {
-					b.Fatal(err)
-				}
+				replayFix(b, c.cfg)
 			}
 		})
 	}
@@ -267,9 +282,7 @@ func BenchmarkSchedulerAblation(b *testing.B) {
 		cfg.Scheduler = sched
 		b.Run(sched.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := memsim.RunTrace(cfg, fixTrace); err != nil {
-					b.Fatal(err)
-				}
+				replayFix(b, cfg)
 			}
 		})
 	}
@@ -284,9 +297,7 @@ func BenchmarkPagePolicyAblation(b *testing.B) {
 		cfg.Policy = pol
 		b.Run(pol.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := memsim.RunTrace(cfg, fixTrace); err != nil {
-					b.Fatal(err)
-				}
+				replayFix(b, cfg)
 			}
 		})
 	}
@@ -301,9 +312,7 @@ func BenchmarkHybridCacheAblation(b *testing.B) {
 		cfg.CacheLines = int(f * float64(fixFoot))
 		b.Run(cfg.Type.String()+"-f"+trimFloat(f), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := memsim.RunTrace(cfg, fixTrace); err != nil {
-					b.Fatal(err)
-				}
+				replayFix(b, cfg)
 			}
 		})
 	}
@@ -371,7 +380,7 @@ func BenchmarkForestSizeAblation(b *testing.B) {
 // BenchmarkSysimTraceGeneration measures the gem5-stand-in stage.
 func BenchmarkSysimTraceGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 1024, 16, 42, 1); err != nil {
+		if _, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 1024, 16, 42, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -422,9 +431,7 @@ func BenchmarkMappingAblation(b *testing.B) {
 		cfg.Mapping = scheme
 		b.Run(scheme.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := memsim.RunTrace(cfg, fixTrace); err != nil {
-					b.Fatal(err)
-				}
+				replayFix(b, cfg)
 			}
 		})
 	}
@@ -437,7 +444,7 @@ func BenchmarkAdaptiveDSE(b *testing.B) {
 	points := dse.EnumerateSpace(dse.SpaceParams{})
 	for i := 0; i < b.N; i++ {
 		a := &dse.AdaptiveDSE{Metric: "Power", InitialSamples: 16, BatchSize: 8, MaxSimulations: 64, Seed: 1}
-		res, err := a.Run(fixTrace, points, dse.SweepOptions{FootprintLines: fixFoot})
+		res, err := a.Run(context.Background(), prepareFix(b), points, dse.SweepOptions{FootprintLines: fixFoot})
 		if err != nil {
 			b.Fatal(err)
 		}

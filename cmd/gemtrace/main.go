@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -40,7 +41,7 @@ func main() {
 	var err error
 	switch *kernel {
 	case "bfs":
-		machine, res, err = sysim.PaperWorkloadTrace(cfg, *vertices, *edgeFactor, *seed, *repeats)
+		machine, res, err = sysim.PaperWorkloadTraceContext(context.Background(), cfg, *vertices, *edgeFactor, *seed, *repeats, nil)
 	case "pagerank", "cc", "sssp", "bfs-parallel":
 		var g *graph.CSR
 		g, err = graph.GenerateGTGraph(*vertices, *edgeFactor, *seed)

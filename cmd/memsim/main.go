@@ -61,7 +61,7 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	// Stream the trace straight into the simulator — paper-scale traces
+	// Stream the trace straight into its prepared form — paper-scale traces
 	// (91.5M lines) never need to fit in memory as a parsed event slice.
 	// Permissive mode replays the valid prefix of a damaged trace and exits
 	// with the salvage code.
@@ -107,6 +107,14 @@ func main() {
 	}
 
 	var res *memsim.Result
+	replay := func(src trace.Source) error {
+		pt, err := memsim.PrepareSource(src)
+		if err != nil {
+			return err
+		}
+		res, err = memsim.RunPreparedTrace(cfg, pt)
+		return err
+	}
 	if *deadline > 0 {
 		// Supervised replay: the deadline cancels the stage and the tool
 		// exits with the timeout code instead of running forever. The trace
@@ -115,12 +123,10 @@ func main() {
 		err = guard.Run(context.Background(), "replay",
 			guard.StageOptions{Timeout: *deadline, Grace: 200 * time.Millisecond},
 			func(ctx context.Context, hb *guard.Heartbeat) error {
-				var rerr error
-				res, rerr = memsim.RunTraceSource(cfg, beatingSource{src, hb})
-				return rerr
+				return replay(beatingSource{src, hb})
 			})
 	} else {
-		res, err = memsim.RunTraceSource(cfg, src)
+		err = replay(src)
 	}
 	if err != nil {
 		fatal(err)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,11 +18,15 @@ import (
 )
 
 func main() {
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 512, 8, 42, 1)
+	machine, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 512, 8, 42, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	events := machine.Trace()
+	// Prepare once: every oracle call replays the same decoded trace.
+	pt, err := memsim.Prepare(machine.Trace())
+	if err != nil {
+		log.Fatal(err)
+	}
 	footprint := int(machine.Layout().Footprint()) / 64
 
 	// The pool: every design point's feature vector. The oracle simulates a
@@ -43,7 +48,7 @@ func main() {
 		if v, ok := cache[i]; ok {
 			return v
 		}
-		res, err := memsim.RunTrace(points[i].Config(footprint), events)
+		res, err := memsim.RunPreparedTrace(points[i].Config(footprint), pt)
 		if err != nil {
 			log.Fatal(err)
 		}

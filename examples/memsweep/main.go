@@ -4,17 +4,20 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 	"time"
 
 	"graphdse/internal/dse"
+	"graphdse/internal/memsim"
 	"graphdse/internal/sysim"
 )
 
 func main() {
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 1024, 16, 42, 2)
+	ctx := context.Background()
+	machine, _, err := sysim.PaperWorkloadTraceContext(ctx, sysim.DefaultConfig(), 1024, 16, 42, 2, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -23,7 +26,11 @@ func main() {
 	fmt.Fprintf(os.Stderr, "sweeping %d configurations over %d trace events...\n", len(points), len(events))
 
 	start := time.Now()
-	records, err := dse.Sweep(events, points, dse.SweepOptions{
+	pt, err := memsim.Prepare(events)
+	if err != nil {
+		log.Fatal(err)
+	}
+	records, err := dse.SweepPreparedContext(ctx, pt, points, dse.SweepOptions{
 		FootprintLines: int(machine.Layout().Footprint()) / 64,
 		// The paper's ~10% NVMain crash rate, expressed as a fault-injection
 		// rule; the engine contains each crash in its record.

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -18,10 +19,11 @@ import (
 )
 
 func main() {
-	res, err := dse.RunWorkflow(dse.WorkflowOptions{
+	ctx := context.Background()
+	res, err := dse.RunWorkflowContext(ctx, dse.WorkflowOptions{
 		Seed:      42,
 		Repeats:   2,
-		Sweep:     dse.SweepOptions{FailureRate: dse.PaperFailureRate, FailureSeed: 1},
+		Sweep:     dse.SweepOptions{Faults: dse.PaperFaults(dse.PaperFailureRate, 1)},
 		SplitSeed: 7,
 	})
 	if err != nil {
@@ -58,13 +60,18 @@ func main() {
 	}
 	perPredict := time.Since(start) / queries
 
-	// One simulator run for comparison, on the first surviving point.
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 1024, 16, 42, 2)
+	// One simulator run for comparison, on the first surviving point: a
+	// one-shot replay, trace preparation included.
+	machine, _, err := sysim.PaperWorkloadTraceContext(ctx, sysim.DefaultConfig(), 1024, 16, 42, 2, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	simStart := time.Now()
-	if _, err := memsim.RunTrace(ds.Points[0].Config(0), machine.Trace()); err != nil {
+	pt, err := memsim.Prepare(machine.Trace())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := memsim.RunPreparedTrace(ds.Points[0].Config(0), pt); err != nil {
 		log.Fatal(err)
 	}
 	perSim := time.Since(simStart)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,7 +15,7 @@ import (
 
 func main() {
 	// 1. Workload + system simulation (the gem5 stage of Figure 1).
-	machine, bfs, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 1024, 16, 42, 1)
+	machine, bfs, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 1024, 16, 42, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -23,7 +24,12 @@ func main() {
 		bfs.Visited, bfs.Iterations, len(events))
 
 	// 2. Memory simulation (the NVMain stage) for three memory designs at
-	//    2 GHz CPU, 400 MHz controller, 2 channels.
+	//    2 GHz CPU, 400 MHz controller, 2 channels. The trace is prepared
+	//    (validated and decoded) once and replayed per design.
+	pt, err := memsim.Prepare(events)
+	if err != nil {
+		log.Fatal(err)
+	}
 	flat := memsim.NewHybridConfig(2, 2000, 400, 40, 0.125)
 	flat.HybridMode = memsim.HybridFlat
 	configs := []struct {
@@ -38,7 +44,7 @@ func main() {
 	fmt.Printf("%-9s %10s %12s %12s %12s %12s %12s\n",
 		"type", "power(W)", "BW(MB/s)", "avgLat(cy)", "totLat(cy)", "reads/ch", "writes/ch")
 	for _, c := range configs {
-		res, err := memsim.RunTrace(c.cfg, events)
+		res, err := memsim.RunPreparedTrace(c.cfg, pt)
 		if err != nil {
 			log.Fatal(err)
 		}

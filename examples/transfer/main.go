@@ -6,11 +6,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 
 	"graphdse/internal/dse"
+	"graphdse/internal/memsim"
 	"graphdse/internal/ml"
 	"graphdse/internal/sysim"
 )
@@ -22,6 +24,7 @@ func main() {
 		Channels:     []int{2, 4},
 	}
 	points := dse.EnumerateSpace(space)
+	ctx := context.Background()
 
 	sweepFor := func(kind dse.WorkloadKind) *dse.Dataset {
 		events, footprint, err := dse.TraceWorkload(sysim.DefaultConfig(), dse.WorkloadSpec{
@@ -30,7 +33,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		records, err := dse.Sweep(events, points, dse.SweepOptions{FootprintLines: footprint})
+		pt, err := memsim.Prepare(events)
+		if err != nil {
+			log.Fatal(err)
+		}
+		records, err := dse.SweepPreparedContext(ctx, pt, points, dse.SweepOptions{FootprintLines: footprint})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -14,11 +14,22 @@ import (
 	"graphdse/internal/trace"
 )
 
+// prepare validates and decodes events for replay, failing the test on a bad
+// event.
+func prepare(t *testing.T, events []trace.Event) *memsim.PreparedTrace {
+	t.Helper()
+	pt, err := memsim.Prepare(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
+}
+
 // TestPipelineTraceFormatsAgree runs the full front half of the workflow —
 // workload → sysim trace → gem5 text → parallel conversion → NVMain text —
 // and verifies the memory simulator sees identical events either way.
 func TestPipelineTraceFormatsAgree(t *testing.T) {
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 256, 8, 3, 1)
+	machine, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 256, 8, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +52,11 @@ func TestPipelineTraceFormatsAgree(t *testing.T) {
 	}
 
 	cfg := memsim.NewNVMConfig(2, 2000, 666, 67)
-	a, err := memsim.RunTrace(cfg, direct)
+	a, err := memsim.RunPreparedTrace(cfg, prepare(t, direct))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := memsim.RunTrace(cfg, converted)
+	b, err := memsim.RunPreparedTrace(cfg, prepare(t, converted))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,23 +72,23 @@ func TestPipelinePaperShapesOnFullWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload in -short mode")
 	}
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 1024, 16, 42, 1)
+	machine, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 1024, 16, 42, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := machine.Trace()
+	pt := prepare(t, machine.Trace())
 
-	d, err := memsim.RunTrace(memsim.NewDRAMConfig(2, 2000, 400), events)
+	d, err := memsim.RunPreparedTrace(memsim.NewDRAMConfig(2, 2000, 400), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := memsim.RunTrace(memsim.NewNVMConfig(2, 2000, 400, 40), events)
+	n, err := memsim.RunPreparedTrace(memsim.NewNVMConfig(2, 2000, 400, 40), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := memsim.NewHybridConfig(2, 2000, 400, 40, 0.125)
 	h.CacheLines = int(machine.Layout().Footprint()) / 64 / 8
-	hy, err := memsim.RunTrace(h, events)
+	hy, err := memsim.RunPreparedTrace(h, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +106,7 @@ func TestPipelinePaperShapesOnFullWorkload(t *testing.T) {
 		t.Fatalf("total latency: DRAM %v should beat NVM %v", d.AvgTotalLatency, n.AvgTotalLatency)
 	}
 
-	nHigh, err := memsim.RunTrace(memsim.NewNVMConfig(2, 2000, 1600, 160), events)
+	nHigh, err := memsim.RunPreparedTrace(memsim.NewNVMConfig(2, 2000, 1600, 160), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +124,7 @@ func TestPipelineSurrogateAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 512, 8, 7, 1)
+	machine, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 512, 8, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +133,7 @@ func TestPipelineSurrogateAccuracy(t *testing.T) {
 		CtrlFreqsMHz: []float64{400, 1600},
 		Channels:     []int{2, 4},
 	})
-	records, err := dse.Sweep(machine.Trace(), points, dse.SweepOptions{
+	records, err := dse.SweepPreparedContext(context.Background(), prepare(t, machine.Trace()), points, dse.SweepOptions{
 		FootprintLines: int(machine.Layout().Footprint()) / 64,
 	})
 	if err != nil {
@@ -185,11 +196,11 @@ func TestPipelineSurrogateExtrapolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	machine, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 512, 8, 9, 1)
+	machine, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 512, 8, 9, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := machine.Trace()
+	pt := prepare(t, machine.Trace())
 	foot := int(machine.Layout().Footprint()) / 64
 	points := dse.EnumerateSpace(dse.SpaceParams{})
 	// Hold out one NVM configuration entirely.
@@ -206,7 +217,7 @@ func TestPipelineSurrogateExtrapolation(t *testing.T) {
 	holdout := points[holdoutIdx]
 	points = append(points[:holdoutIdx], points[holdoutIdx+1:]...)
 
-	records, err := dse.Sweep(events, points, dse.SweepOptions{FootprintLines: foot})
+	records, err := dse.SweepPreparedContext(context.Background(), pt, points, dse.SweepOptions{FootprintLines: foot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +240,7 @@ func TestPipelineSurrogateExtrapolation(t *testing.T) {
 	}
 
 	pred := svr.Predict(xs.TransformRow(holdout.FeatureVector()))
-	truth, err := memsim.RunTrace(holdout.Config(foot), events)
+	truth, err := memsim.RunPreparedTrace(holdout.Config(foot), pt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,10 @@ func TestAdaptiveDSEBudgetAndAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptive DSE in -short mode")
 	}
-	events := smallTrace(t)
+	pt, err := memsim.Prepare(smallTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	points := EnumerateSpace(SpaceParams{
 		CPUFreqsMHz:  []float64{2000, 3000, 6500},
 		CtrlFreqsMHz: []float64{400, 1600},
@@ -19,9 +23,14 @@ func TestAdaptiveDSEBudgetAndAccuracy(t *testing.T) {
 	}) // 3×2×2 cells × 13 = 156 points
 	budget := 60
 	a := &AdaptiveDSE{Metric: "Power", InitialSamples: 12, BatchSize: 8, MaxSimulations: budget, Seed: 1}
-	res, err := a.Run(events, points, SweepOptions{})
+	res, err := a.Run(context.Background(), pt, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The loop replays the caller's trace: it routes it to channels once
+	// per mapping geometry (2 and 4 channels), not once per simulation.
+	if st := pt.PartitionCacheStats(); st.Misses != 2 || st.Hits != uint64(res.Simulated-2) {
+		t.Fatalf("partition cache %+v after %d simulations; want 2 builds", st, res.Simulated)
 	}
 	if res.Simulated > budget {
 		t.Fatalf("budget exceeded: %d > %d", res.Simulated, budget)
@@ -42,17 +51,13 @@ func TestAdaptiveDSEBudgetAndAccuracy(t *testing.T) {
 	for _, r := range res.Records {
 		explored[r.Point.ID()] = true
 	}
-	pt, err := memsim.Prepare(events)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var checked int
 	var totalRel float64
 	for _, p := range points {
 		if explored[p.ID()] || checked >= 8 {
 			continue
 		}
-		truth, err := simulateOne(pt, p, SweepOptions{})
+		truth, err := simulateOne(context.Background(), pt, p, SweepOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,13 +74,17 @@ func TestAdaptiveDSEBudgetAndAccuracy(t *testing.T) {
 }
 
 func TestAdaptiveDSEValidation(t *testing.T) {
-	events := smallTrace(t)
+	pt, err := memsim.Prepare(smallTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 	a := &AdaptiveDSE{InitialSamples: 100}
-	if _, err := a.Run(events, EnumerateSpace(smallSpace())[:5], SweepOptions{}); err == nil {
+	if _, err := a.Run(ctx, pt, EnumerateSpace(smallSpace())[:5], SweepOptions{}); err == nil {
 		t.Fatal("expected too-few-points error")
 	}
 	b := &AdaptiveDSE{Metric: "nope"}
-	if _, err := b.Run(events, EnumerateSpace(smallSpace()), SweepOptions{}); err == nil {
+	if _, err := b.Run(ctx, pt, EnumerateSpace(smallSpace()), SweepOptions{}); err == nil {
 		t.Fatal("expected unknown-metric error")
 	}
 }

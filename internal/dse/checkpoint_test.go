@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"graphdse/internal/memsim"
 )
 
 // canonicalSurvivors renders the surviving records in their checkpoint
@@ -35,7 +37,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
 	// Resume against a missing checkpoint is a fresh start, not an error.
-	records, err := Sweep(events, points, SweepOptions{
+	records, err := sweepEvents(events, points, SweepOptions{
 		Faults: PaperFaults(0.25, 3), CheckpointPath: path, Resume: true,
 	})
 	if err != nil {
@@ -82,7 +84,7 @@ func TestCheckpointCorruptLineSkippedAndRerun(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.ckpt")
 
-	ref, err := Sweep(events, points, SweepOptions{CheckpointPath: path})
+	ref, err := sweepEvents(events, points, SweepOptions{CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestCheckpointCorruptLineSkippedAndRerun(t *testing.T) {
 	var reran atomic.Int64
 	testHookPointStart = func(DesignPoint) { reran.Add(1) }
 	defer func() { testHookPointStart = nil }()
-	resumed, err := Sweep(events, points, SweepOptions{CheckpointPath: path, Resume: true})
+	resumed, err := sweepEvents(events, points, SweepOptions{CheckpointPath: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestCheckpointKillResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 
 	refPath := filepath.Join(dir, "ref.ckpt")
-	ref, err := Sweep(events, points, SweepOptions{Faults: inj, CheckpointPath: refPath})
+	ref, err := sweepEvents(events, points, SweepOptions{Faults: inj, CheckpointPath: refPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,11 @@ func TestCheckpointKillResumeByteIdentical(t *testing.T) {
 			cancel()
 		}
 	}
-	partial, err := SweepContext(ctx, events, points, SweepOptions{
+	pt, err := memsim.Prepare(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := SweepPreparedContext(ctx, pt, points, SweepOptions{
 		Faults: inj, CheckpointPath: path, Workers: 2,
 	})
 	testHookPointDone = nil
@@ -180,7 +186,7 @@ func TestCheckpointKillResumeByteIdentical(t *testing.T) {
 	}
 
 	// Resume from the checkpoint and complete the sweep.
-	resumed, err := Sweep(events, points, SweepOptions{
+	resumed, err := sweepEvents(events, points, SweepOptions{
 		Faults: inj, CheckpointPath: path, Resume: true,
 	})
 	if err != nil {
@@ -218,7 +224,7 @@ func TestCheckpointTornTailFromConcurrentWriter(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.ckpt")
 
-	ref, err := Sweep(events, points, SweepOptions{CheckpointPath: path})
+	ref, err := sweepEvents(events, points, SweepOptions{CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +261,7 @@ func TestCheckpointTornTailFromConcurrentWriter(t *testing.T) {
 	// re-runs, and the result matches the uninterrupted sweep byte for byte.
 	var reran atomic.Int64
 	testHookPointStart = func(DesignPoint) { reran.Add(1) }
-	resumed, err := Sweep(events, points, SweepOptions{CheckpointPath: path, Resume: true})
+	resumed, err := sweepEvents(events, points, SweepOptions{CheckpointPath: path, Resume: true})
 	testHookPointStart = nil
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +302,7 @@ func TestCheckpointTornTailFromConcurrentWriter(t *testing.T) {
 func TestDecodeCanonicalRecordsRoundTrip(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(tinySpace())
-	records, err := Sweep(events, points, SweepOptions{Faults: PaperFaults(0.25, 3)})
+	records, err := sweepEvents(events, points, SweepOptions{Faults: PaperFaults(0.25, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}

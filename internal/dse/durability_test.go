@@ -17,7 +17,7 @@ func writeCheckpointLines(t *testing.T) ([]string, []DesignPoint, string) {
 	events := smallTrace(t)
 	points := EnumerateSpace(tinySpace())
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	if _, err := Sweep(events, points, SweepOptions{CheckpointPath: path}); err != nil {
+	if _, err := sweepEvents(events, points, SweepOptions{CheckpointPath: path}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -115,7 +115,7 @@ func TestSweepResumeSalvageCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got *CheckpointReport
-	records, err := Sweep(smallTrace(t), points, SweepOptions{
+	records, err := sweepEvents(smallTrace(t), points, SweepOptions{
 		CheckpointPath:      path,
 		Resume:              true,
 		OnCheckpointSalvage: func(r *CheckpointReport) { got = r },
@@ -139,7 +139,7 @@ func TestSweepResumeSalvageCallback(t *testing.T) {
 // plain-CSV path still works through the same auto-detecting reader.
 func TestCSVCheckedRoundTripAndCorruption(t *testing.T) {
 	events := smallTrace(t)
-	records, err := Sweep(events, EnumerateSpace(tinySpace()), SweepOptions{})
+	records, err := sweepEvents(events, EnumerateSpace(tinySpace()), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

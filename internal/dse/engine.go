@@ -65,7 +65,7 @@ func sweepEngine(ctx context.Context, pt *memsim.PreparedTrace, points []DesignP
 	// Under memory pressure the governor trims the pool before it even
 	// starts; workers that do start can still retire mid-sweep (below).
 	workers = opts.Governor.Workers("sweep", workers)
-	inj := opts.injector()
+	inj := opts.Faults
 	if opts.Timeout <= 0 && inj.hasClass(FaultHang) {
 		opts.Timeout = defaultHangTimeout
 	}

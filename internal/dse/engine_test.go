@@ -39,7 +39,7 @@ func TestWorkerPoolBoundedConcurrency(t *testing.T) {
 
 	events := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	if _, err := Sweep(events, points, SweepOptions{Workers: 2}); err != nil {
+	if _, err := sweepEvents(events, points, SweepOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 2 {
@@ -51,7 +51,7 @@ func TestSweepPanicIsolation(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
 	inj := &FaultInjector{Rules: []FaultRule{{Class: FaultCrash, Rate: 0.4, Seed: 9}}}
-	records, err := Sweep(events, points, SweepOptions{Faults: inj})
+	records, err := sweepEvents(events, points, SweepOptions{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSweepHangHitsDeadline(t *testing.T) {
 	points := EnumerateSpace(tinySpace())
 	inj := &FaultInjector{Rules: []FaultRule{{Class: FaultHang, Rate: 0.3, Seed: 5}}}
 	start := time.Now()
-	records, err := Sweep(events, points, SweepOptions{Faults: inj, Timeout: 300 * time.Millisecond})
+	records, err := sweepEvents(events, points, SweepOptions{Faults: inj, Timeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSweepHangDefaultsTimeout(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := Sweep(events, points, SweepOptions{Faults: inj}); !errors.Is(err, ErrAllFailed) {
+		if _, err := sweepEvents(events, points, SweepOptions{Faults: inj}); !errors.Is(err, ErrAllFailed) {
 			t.Errorf("want ErrAllFailed, got %v", err)
 		}
 	}()
@@ -142,7 +142,7 @@ func TestSweepTransientRetryRecovers(t *testing.T) {
 	points := EnumerateSpace(tinySpace())
 	// Every point fails its first attempt; the first retry succeeds.
 	inj := &FaultInjector{Rules: []FaultRule{{Class: FaultTransient, Rate: 0.999999, Times: 1}}}
-	records, err := Sweep(events, points, SweepOptions{
+	records, err := sweepEvents(events, points, SweepOptions{
 		Faults: inj, Retries: 2, BackoffBase: time.Millisecond,
 	})
 	if err != nil {
@@ -158,7 +158,7 @@ func TestSweepTransientRetryRecovers(t *testing.T) {
 	}
 
 	// Without retries the same faults are terminal and classified transient.
-	records, err = Sweep(events, points, SweepOptions{Faults: inj})
+	records, err = sweepEvents(events, points, SweepOptions{Faults: inj})
 	if !errors.Is(err, ErrAllFailed) {
 		t.Fatalf("want ErrAllFailed without retries, got %v", err)
 	}
@@ -173,7 +173,7 @@ func TestSweepCorruptMetricsQuarantined(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
 	inj := &FaultInjector{Rules: []FaultRule{{Class: FaultCorrupt, Rate: 0.3, Seed: 2}}}
-	records, err := Sweep(events, points, SweepOptions{Faults: inj})
+	records, err := sweepEvents(events, points, SweepOptions{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSweepChaosAllClasses(t *testing.T) {
 			return false
 		}
 	}
-	records, err := Sweep(events, points, SweepOptions{
+	records, err := sweepEvents(events, points, SweepOptions{
 		Faults:      inj,
 		Retries:     retries,
 		Timeout:     300 * time.Millisecond,
@@ -261,7 +261,7 @@ func TestSweepMinSurvivors(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(tinySpace())
 	inj := &FaultInjector{Rules: []FaultRule{{Class: FaultCrash, Rate: 0.7, Seed: 3}}}
-	records, err := Sweep(events, points, SweepOptions{Faults: inj, MinSurvivors: len(points)})
+	records, err := sweepEvents(events, points, SweepOptions{Faults: inj, MinSurvivors: len(points)})
 	var sf *SweepFailureError
 	if !errors.As(err, &sf) {
 		t.Fatalf("want *SweepFailureError, got %v", err)
@@ -277,17 +277,20 @@ func TestSweepMinSurvivors(t *testing.T) {
 	}
 
 	// The same sweep with an achievable minimum proceeds.
-	if _, err := Sweep(events, points, SweepOptions{Faults: inj, MinSurvivors: 1}); err != nil {
+	if _, err := sweepEvents(events, points, SweepOptions{Faults: inj, MinSurvivors: 1}); err != nil {
 		t.Fatalf("achievable minimum should pass: %v", err)
 	}
 }
 
 func TestSweepContextCancelled(t *testing.T) {
-	events := smallTrace(t)
+	pt, err := memsim.Prepare(smallTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	points := EnumerateSpace(smallSpace())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	records, err := SweepContext(ctx, events, points, SweepOptions{})
+	records, err := SweepPreparedContext(ctx, pt, points, SweepOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -301,7 +304,7 @@ func TestSweepContextCancelled(t *testing.T) {
 func TestBuildDatasetQuarantinesInvalidSurvivors(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(tinySpace())[:4]
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := sweepEvents(events, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

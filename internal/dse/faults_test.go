@@ -4,23 +4,26 @@ import (
 	"testing"
 )
 
-func TestPaperFaultsMatchesLegacyFailureRate(t *testing.T) {
+// TestPaperFaultsPaperSubset pins the paper's survivorship mode: over the
+// full 416-point space, PaperFaults crashes exactly the points its seeded
+// draw selects, on every attempt, and at the paper's rate and seed 1 that is
+// 47 points (the paper lost ~42).
+func TestPaperFaultsPaperSubset(t *testing.T) {
 	points := EnumerateSpace(SpaceParams{}) // full 416
 	inj := PaperFaults(PaperFailureRate, 1)
 	n := 0
 	for _, p := range points {
-		legacy := injectedFailure(p, PaperFailureRate, 1)
-		harness := inj.Decide(p, 1) == FaultCrash
-		if legacy != harness {
-			t.Fatalf("point %s: legacy=%v harness=%v", p.ID(), legacy, harness)
+		drawn := injectedFailure(p, PaperFailureRate, 1)
+		crashed := inj.Decide(p, 1) == FaultCrash
+		if drawn != crashed || (inj.Decide(p, 3) == FaultCrash) != crashed {
+			t.Fatalf("point %s: drawn=%v crashed=%v", p.ID(), drawn, crashed)
 		}
-		if harness {
+		if crashed {
 			n++
 		}
 	}
-	// ~10% of 416 ≈ 42 crashes, loosely — the paper's survivorship.
-	if n < 20 || n > 70 {
-		t.Fatalf("harness selected %d of 416 crashes, want ~42", n)
+	if n != 47 {
+		t.Fatalf("PaperFaults crashed %d of 416 points, want 47", n)
 	}
 }
 

@@ -202,7 +202,7 @@ func TestWorkflowBelowMinSurvivorsAfterGate(t *testing.T) {
 
 func TestTrainAndEvaluateCancellation(t *testing.T) {
 	events := smallTrace(t)
-	records, err := Sweep(events, EnumerateSpace(smallSpace()), SweepOptions{})
+	records, err := sweepEvents(events, EnumerateSpace(smallSpace()), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

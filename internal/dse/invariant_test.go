@@ -22,7 +22,7 @@ func gateSpace() SpaceParams {
 func TestInvariantGateQuarantinesImpossibleMetrics(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(gateSpace())
-	records, err := Sweep(events, points, SweepOptions{
+	records, err := sweepEvents(events, points, SweepOptions{
 		Faults: &FaultInjector{Rules: []FaultRule{{Class: FaultInvariant, Rate: 0.4, Seed: 3}}},
 	})
 	if err != nil {
@@ -105,7 +105,7 @@ func TestInvariantGateQuarantinesImpossibleMetrics(t *testing.T) {
 func TestInvariantGateCleanSweepUntouched(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(gateSpace())
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := sweepEvents(events, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestInvariantGateCleanSweepUntouched(t *testing.T) {
 func TestCheckSurvivorsContract(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(gateSpace())
-	records, err := Sweep(events, points, SweepOptions{
+	records, err := sweepEvents(events, points, SweepOptions{
 		Faults: &FaultInjector{Rules: []FaultRule{{Class: FaultInvariant, Rate: 0.4, Seed: 3}}},
 	})
 	if err != nil {

@@ -35,7 +35,7 @@ func TestSweepNoGoroutineLeak(t *testing.T) {
 	points := EnumerateSpace(smallSpace())
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		if _, err := Sweep(events, points, SweepOptions{Workers: 4}); err != nil {
+		if _, err := sweepEvents(events, points, SweepOptions{Workers: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func TestSweepFailureNoGoroutineLeak(t *testing.T) {
 			Workers: 4,
 			Faults:  &FaultInjector{Rules: []FaultRule{{Class: FaultCrash, Rate: 1.0, Seed: 3}}},
 		}
-		if _, err := Sweep(events, points, opts); err == nil {
+		if _, err := sweepEvents(events, points, opts); err == nil {
 			t.Fatal("expected all-failed sweep to report an error")
 		}
 	}

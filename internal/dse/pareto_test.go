@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 func TestParetoFrontBasics(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := sweepEvents(events, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestParetoFrontBasics(t *testing.T) {
 func TestParetoFrontSingleObjective(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := sweepEvents(events, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestParetoFrontErrors(t *testing.T) {
 		t.Fatal("expected no-data error")
 	}
 	events := smallTrace(t)
-	records, err := Sweep(events, EnumerateSpace(smallSpace()), SweepOptions{})
+	records, err := sweepEvents(events, EnumerateSpace(smallSpace()), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestDominates(t *testing.T) {
 
 func TestCSVRoundTrip(t *testing.T) {
 	events := smallTrace(t)
-	records, err := Sweep(events, EnumerateSpace(smallSpace()), SweepOptions{})
+	records, err := sweepEvents(events, EnumerateSpace(smallSpace()), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestCompareWorkloads(t *testing.T) {
 		{Kind: WorkloadPageRank, Vertices: 128, EdgeFactor: 4, Seed: 1, PRIters: 2},
 		{Kind: WorkloadCC, Vertices: 128, EdgeFactor: 4, Seed: 1},
 	}
-	comps, err := CompareWorkloads(sysim.DefaultConfig(), specs, smallSpace(), SweepOptions{})
+	comps, err := CompareWorkloads(context.Background(), sysim.DefaultConfig(), specs, smallSpace(), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +199,14 @@ func TestTraceWorkloadErrors(t *testing.T) {
 	if _, _, err := TraceWorkload(sysim.DefaultConfig(), WorkloadSpec{Kind: WorkloadBFS, Vertices: 1, EdgeFactor: 4}); err == nil {
 		t.Fatal("expected graph error")
 	}
-	if _, err := CompareWorkloads(sysim.DefaultConfig(), nil, smallSpace(), SweepOptions{}); err == nil {
+	if _, err := CompareWorkloads(context.Background(), sysim.DefaultConfig(), nil, smallSpace(), SweepOptions{}); err == nil {
 		t.Fatal("expected no-workloads error")
 	}
 }
 
 func TestFeatureImportanceReport(t *testing.T) {
 	events := smallTrace(t)
-	records, err := Sweep(events, EnumerateSpace(SpaceParams{
+	records, err := sweepEvents(events, EnumerateSpace(SpaceParams{
 		CPUFreqsMHz:  []float64{2000, 6500},
 		CtrlFreqsMHz: []float64{400, 1600},
 		Channels:     []int{2, 4},

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -29,7 +30,7 @@ func TestSweepPreparedPartitionReuse(t *testing.T) {
 	if len(points) < 8 {
 		t.Fatalf("space too small to exercise reuse: %d points", len(points))
 	}
-	if _, err := SweepPrepared(pt, points, SweepOptions{Workers: 4}); err != nil {
+	if _, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	st := pt.PartitionCacheStats()
@@ -60,7 +61,7 @@ func TestPartitionSweepConcurrentStress(t *testing.T) {
 		Channels:     []int{2, 4},
 		Fractions:    []float64{0.25},
 	})
-	want, err := SweepPrepared(pt, points, SweepOptions{Workers: 1})
+	want, err := SweepPreparedContext(context.Background(), pt, points, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestPartitionSweepConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = SweepPrepared(pt, points, SweepOptions{Workers: 2})
+			got[i], errs[i] = SweepPreparedContext(context.Background(), pt, points, SweepOptions{Workers: 2})
 		}(i)
 	}
 	wg.Wait()

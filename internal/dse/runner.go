@@ -10,7 +10,6 @@ import (
 
 	"graphdse/internal/guard"
 	"graphdse/internal/memsim"
-	"graphdse/internal/trace"
 )
 
 // RunRecord is the outcome of simulating one design point.
@@ -41,19 +40,12 @@ type SweepOptions struct {
 	// FootprintLines sizes hybrid DRAM caches relative to the workload (see
 	// DesignPoint.Config).
 	FootprintLines int
-	// FailureRate in [0,1) injects deterministic simulated crashes,
-	// reproducing the paper's 374-of-416 survivorship. Zero disables it.
-	// It is legacy shorthand for Faults = PaperFaults(FailureRate,
-	// FailureSeed) and is ignored when Faults is set.
-	FailureRate float64
-	// FailureSeed varies which configurations fail.
-	FailureSeed uint64
 	// Workers caps parallelism; <=0 uses GOMAXPROCS.
 	Workers int
 
 	// Faults composes injected fault classes (crash, hang, transient,
-	// corrupt) for survivorship modes and chaos testing. Overrides
-	// FailureRate when non-nil.
+	// corrupt) for survivorship modes and chaos testing; PaperFaults
+	// reproduces the paper's 374-of-416 survivorship. Nil injects nothing.
 	Faults *FaultInjector
 	// Timeout is the per-point deadline; 0 disables it (but a hang-class
 	// injector forces a default so chaos runs cannot deadlock).
@@ -98,18 +90,6 @@ type SweepOptions struct {
 	OnRecord func(RunRecord)
 }
 
-// injector resolves the effective fault injector, folding the legacy
-// FailureRate knob into the harness.
-func (o *SweepOptions) injector() *FaultInjector {
-	if o.Faults != nil {
-		return o.Faults
-	}
-	if o.FailureRate > 0 {
-		return PaperFaults(o.FailureRate, o.FailureSeed)
-	}
-	return nil
-}
-
 // PaperFailureRate reproduces the paper's ≈42/416 crash rate.
 const PaperFailureRate = 0.101
 
@@ -142,47 +122,18 @@ func (e *SweepFailureError) Error() string {
 		e.Survivors, e.Total, e.MinSurvivors, strings.Join(parts, " "))
 }
 
-// Sweep replays the trace against every design point in parallel and returns
-// one record per point, in input order. It never lets a single point kill
-// the sweep: panics, hangs, transient errors, and corrupted metrics are
-// contained in the point's record (see SweepContext for cancellation).
+// SweepPreparedContext replays a prepared trace against every design point
+// in parallel and returns one record per point, in input order. It is the
+// one sweep: the trace was validated and decoded once by memsim.Prepare, is
+// shared read-only by all workers, and its geometry-keyed partition cache
+// routes it to channels once per mapping geometry, not once per point.
 //
-// The trace is validated and decoded exactly once, then shared read-only
-// across all points; callers sweeping the same trace repeatedly (or holding
-// it only as a stream) should use SweepPrepared directly.
-func Sweep(events []trace.Event, points []DesignPoint, opts SweepOptions) ([]RunRecord, error) {
-	//lint:ignore ctxpropagate documented top-level wrapper: the no-ctx convenience API mints the root context for SweepContext
-	return SweepContext(context.Background(), events, points, opts)
-}
-
-// SweepContext is Sweep with caller-controlled cancellation: when ctx is
+// A single point never kills the sweep: panics, hangs, transient errors,
+// and corrupted metrics are contained in the point's record. When ctx is
 // cancelled, in-flight points finish as failures, undispatched points are
 // marked Skipped, and the partial records are returned alongside ctx's
 // error. Combined with CheckpointPath, a cancelled sweep resumes from its
 // completed records.
-func SweepContext(ctx context.Context, events []trace.Event, points []DesignPoint, opts SweepOptions) ([]RunRecord, error) {
-	if len(events) == 0 {
-		return nil, memsim.ErrEmptyTrace
-	}
-	pt, err := memsim.Prepare(events)
-	if err != nil {
-		return nil, err
-	}
-	return sweepEngine(ctx, pt, points, opts)
-}
-
-// SweepPrepared sweeps an already-prepared trace — the decode-once,
-// replay-many path. The PreparedTrace is shared read-only by all workers,
-// and its geometry-keyed partition cache means the trace is routed to
-// channels once per mapping geometry (not once per point): per-point
-// steady-state cost is channel simulation over pooled engine state.
-func SweepPrepared(pt *memsim.PreparedTrace, points []DesignPoint, opts SweepOptions) ([]RunRecord, error) {
-	//lint:ignore ctxpropagate documented top-level wrapper: the no-ctx convenience API mints the root context for SweepPreparedContext
-	return SweepPreparedContext(context.Background(), pt, points, opts)
-}
-
-// SweepPreparedContext is SweepPrepared with caller-controlled cancellation
-// (see SweepContext).
 func SweepPreparedContext(ctx context.Context, pt *memsim.PreparedTrace, points []DesignPoint, opts SweepOptions) ([]RunRecord, error) {
 	return sweepEngine(ctx, pt, points, opts)
 }

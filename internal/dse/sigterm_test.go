@@ -37,7 +37,7 @@ func sigtermSweepOpts(path string, resume bool) SweepOptions {
 // sigtermHelperTrace rebuilds the deterministic helper trace without a
 // testing.TB (the subprocess has no test context of its own).
 func sigtermHelperTrace() (*memsim.PreparedTrace, error) {
-	m, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 256, 8, 7, 1)
+	m, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 256, 8, 7, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func TestSweepSIGTERMCheckpointResume(t *testing.T) {
 
 	// Resume in-process from the interrupted checkpoint.
 	events := smallTrace(t)
-	resumed, err := Sweep(events, points, sigtermSweepOpts(path, true))
+	resumed, err := sweepEvents(events, points, sigtermSweepOpts(path, true))
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestSweepSIGTERMCheckpointResume(t *testing.T) {
 	}
 
 	// Reference: the same sweep never interrupted.
-	ref, err := Sweep(events, points, sigtermSweepOpts(t.TempDir()+"/ref.ckpt", false))
+	ref, err := sweepEvents(events, points, sigtermSweepOpts(t.TempDir()+"/ref.ckpt", false))
 	if err != nil {
 		t.Fatal(err)
 	}

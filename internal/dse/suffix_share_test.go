@@ -13,7 +13,7 @@ import (
 // cache footprint in lines.
 func suffixWorkload(t testing.TB, seed int64) (*sysim.Machine, int) {
 	t.Helper()
-	m, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 256, 8, seed, 1)
+	m, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 256, 8, seed, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

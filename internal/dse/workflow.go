@@ -151,14 +151,6 @@ type WorkflowResult struct {
 	Supervision *guard.Report
 }
 
-// RunWorkflow executes the full pipeline of Figure 1: workload → system
-// simulation → trace → memory-simulation sweep → dataset → surrogate
-// training and evaluation → recommendations.
-func RunWorkflow(opts WorkflowOptions) (*WorkflowResult, error) {
-	//lint:ignore ctxpropagate documented top-level wrapper: the no-ctx convenience API mints the root context for RunWorkflowContext
-	return RunWorkflowContext(context.Background(), opts)
-}
-
 // The pipeline governor doubles as the trace converter's degradation hook.
 var _ trace.WorkerGovernor = (*guard.Governor)(nil)
 
@@ -181,7 +173,10 @@ func (b beatingSource) Next(batch []trace.Event) (int, error) {
 // the first stage runs, so tests can signal or await memory pressure.
 var testHookGovernor func(*guard.Governor)
 
-// RunWorkflowContext is RunWorkflow hosted on the guard runtime: each Figure-1
+// RunWorkflowContext executes the full pipeline of Figure 1: workload →
+// system simulation → trace → memory-simulation sweep → dataset →
+// surrogate training and evaluation → recommendations. It is hosted on the
+// guard runtime: each Figure-1
 // stage (workload simulation, trace preparation, sweep, invariant gate,
 // dataset build, train/evaluate, recommend) runs supervised — heartbeat
 // watchdog, per-stage and whole-pipeline deadlines, panic capture — under

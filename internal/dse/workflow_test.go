@@ -23,17 +23,27 @@ func smallSpace() SpaceParams {
 
 func smallTrace(t testing.TB) []trace.Event {
 	t.Helper()
-	m, _, err := sysim.PaperWorkloadTrace(sysim.DefaultConfig(), 256, 8, 7, 1)
+	m, _, err := sysim.PaperWorkloadTraceContext(context.Background(), sysim.DefaultConfig(), 256, 8, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m.Trace()
 }
 
+// sweepEvents prepares events afresh and sweeps them: the one-shot route
+// most tests take.
+func sweepEvents(events []trace.Event, points []DesignPoint, opts SweepOptions) ([]RunRecord, error) {
+	pt, err := memsim.Prepare(events)
+	if err != nil {
+		return nil, err
+	}
+	return SweepPreparedContext(context.Background(), pt, points, opts)
+}
+
 func TestSweepProducesResults(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := sweepEvents(events, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +67,7 @@ func TestSweepFailureInjectionDeterministic(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(SpaceParams{}) // full 416
 	// Don't simulate: rate 1.0 fails everything before running, so this is fast.
-	_, err := Sweep(events, points, SweepOptions{FailureRate: 0.9999999})
+	_, err := sweepEvents(events, points, SweepOptions{Faults: PaperFaults(0.9999999, 0)})
 	if err == nil {
 		t.Fatal("expected ErrAllFailed at ~100% failure rate")
 	}
@@ -82,10 +92,10 @@ func TestSweepFailureInjectionDeterministic(t *testing.T) {
 }
 
 func TestSweepInputValidation(t *testing.T) {
-	if _, err := Sweep(nil, EnumerateSpace(smallSpace()), SweepOptions{}); err == nil {
+	if _, err := sweepEvents(nil, EnumerateSpace(smallSpace()), SweepOptions{}); err == nil {
 		t.Fatal("expected empty-trace error")
 	}
-	if _, err := Sweep(smallTrace(t), nil, SweepOptions{}); err == nil {
+	if _, err := sweepEvents(smallTrace(t), nil, SweepOptions{}); err == nil {
 		t.Fatal("expected empty-space error")
 	}
 }
@@ -93,7 +103,7 @@ func TestSweepInputValidation(t *testing.T) {
 func TestBuildDataset(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	records, err := Sweep(events, points, SweepOptions{FailureRate: 0.2, FailureSeed: 3})
+	records, err := sweepEvents(events, points, SweepOptions{Faults: PaperFaults(0.2, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +137,7 @@ func TestBuildDataset(t *testing.T) {
 func TestBuildFigure2GroupsAndAverages(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := sweepEvents(events, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +165,12 @@ func TestRunWorkflowEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end workflow in -short mode")
 	}
-	res, err := RunWorkflow(WorkflowOptions{
+	res, err := RunWorkflowContext(context.Background(), WorkflowOptions{
 		Vertices:   256,
 		EdgeFactor: 8,
 		Seed:       42,
 		Space:      smallSpace(),
-		Sweep:      SweepOptions{FailureRate: PaperFailureRate, FailureSeed: 1},
+		Sweep:      SweepOptions{Faults: PaperFaults(PaperFailureRate, 1)},
 		SplitSeed:  7,
 	})
 	if err != nil {
@@ -208,7 +218,7 @@ func TestRunWorkflowEndToEnd(t *testing.T) {
 func TestRenderers(t *testing.T) {
 	events := smallTrace(t)
 	points := EnumerateSpace(smallSpace())
-	records, err := Sweep(events, points, SweepOptions{})
+	records, err := sweepEvents(events, points, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +261,7 @@ func TestTrainAndEvaluateTooFewRows(t *testing.T) {
 
 func TestPlotFigure3(t *testing.T) {
 	events := smallTrace(t)
-	records, err := Sweep(events, EnumerateSpace(smallSpace()), SweepOptions{})
+	records, err := sweepEvents(events, EnumerateSpace(smallSpace()), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -170,6 +171,52 @@ func TestCommitFailedDoneAppendStaysRunning(t *testing.T) {
 		t.Fatalf("result committed after restart differs from the uninterrupted run's:\n%s\nvs\n%s", got, want)
 	}
 	checkPointJournal(t, q2.events.History(spec.ID), points)
+}
+
+// TestCancelFailedAppendStaysQueued: when a queued job's cancel event cannot
+// be appended, the job is not cancelled — not in memory, where it stays
+// queued and pending, and not after a restart.
+func TestCancelFailedAppendStaysQueued(t *testing.T) {
+	spec := frameJobSpec()
+	dir := t.TempDir()
+	ffs := &matchTearFS{FaultFS: artifact.NewFaultFS(nil), match: []byte(`"state":"cancelled"`), n: -1}
+	q, err := OpenQueue(dir, QueueOptions{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := q.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.CancelQueued(spec.ID); err == nil {
+		t.Fatal("cancel reported success over a failed append")
+	}
+	if ffs.Injected() == 0 {
+		t.Fatal("no cancel append was attempted")
+	}
+	queuedNow := func(q *Queue, when string) {
+		t.Helper()
+		rec, err := q.Get(spec.ID)
+		if err != nil || rec.State != StateQueued {
+			t.Fatalf("job %s: %+v err=%v, want queued", when, rec, err)
+		}
+		if queued, _ := q.Depth(); queued != 1 {
+			t.Fatalf("queue depth %s = %d, want 1", when, queued)
+		}
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		if !slices.Contains(q.pending, spec.ID) {
+			t.Fatalf("job %s is not pending: %v", when, q.pending)
+		}
+	}
+	queuedNow(q, "after a failed cancel append")
+	q.Close()
+
+	q2, err := OpenQueue(dir, QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Close()
+	queuedNow(q2, "after restart")
 }
 
 // TestResultReplaysGateOverJournaledTraceEvents: re-deriving a result runs

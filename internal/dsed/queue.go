@@ -603,7 +603,8 @@ func (q *Queue) Finalize(id string, v Verdict, result []byte) error {
 
 // Requeue returns a running job to the queued state without counting the
 // attempt against it — the drain path for jobs interrupted by shutdown, so
-// the next daemon resumes them from their journal.
+// the next daemon resumes them from their journal. Like Finalize, it
+// journals the transition before applying it.
 func (q *Queue) Requeue(id string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -614,20 +615,21 @@ func (q *Queue) Requeue(id string) error {
 	if rec.State != StateRunning {
 		return nil
 	}
+	if err := q.events.Emit(id, Event{Type: EventState, State: StateQueued, Attempt: rec.Attempt}); err != nil {
+		return fmt.Errorf("dsed: persist requeue %s: %w", id, err)
+	}
 	rec.State = StateQueued
 	q.pending = append(q.pending, id)
 	close(q.notify)
 	q.notify = make(chan struct{})
-	if err := q.events.Emit(id, Event{Type: EventState, State: StateQueued, Attempt: rec.Attempt}); err != nil {
-		return fmt.Errorf("dsed: persist requeue %s: %w", id, err)
-	}
 	return nil
 }
 
 // CancelQueued cancels a job that has not started; running jobs are
 // cancelled through the scheduler (which owns their contexts). It reports
 // whether the job was queued (and is now cancelled), running (caller must
-// cancel the context), or terminal (error).
+// cancel the context), or terminal (error). The cancel is journaled before
+// it is applied, so a failed append leaves the job queued.
 func (q *Queue) CancelQueued(id string) (wasRunning bool, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -639,16 +641,11 @@ func (q *Queue) CancelQueued(id string) (wasRunning bool, err error) {
 	case StateRunning:
 		return true, nil
 	case StateQueued:
-		for i, pid := range q.pending {
-			if pid == id {
-				q.pending = append(q.pending[:i], q.pending[i+1:]...)
-				break
-			}
-		}
-		rec.State = StateCancelled
 		if err := q.events.Emit(id, Event{Type: EventState, State: StateCancelled, Attempt: rec.Attempt}); err != nil {
 			return false, fmt.Errorf("dsed: persist cancel %s: %w", id, err)
 		}
+		q.pending = slices.DeleteFunc(q.pending, func(pid string) bool { return pid == id })
+		rec.State = StateCancelled
 		return false, nil
 	default:
 		return false, fmt.Errorf("%w: %s is %s", ErrNotCancellable, id, rec.State)

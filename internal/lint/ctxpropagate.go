@@ -17,8 +17,10 @@ import (
 //   - any other use in a non-main package (library code must accept the
 //     context from its caller; only binaries mint the root context).
 //
-// Documented top-level convenience wrappers (dse.RunWorkflow and friends)
-// carry a //lint:ignore ctxpropagate suppression with the rationale.
+// Library APIs have no no-ctx convenience wrappers: callers mint the root
+// context in main or in a test. A call that must still mint one (guard's
+// stage runner, once its parent context has fired) carries a
+// //lint:ignore ctxpropagate suppression with the rationale.
 var CtxPropagate = &Analyzer{
 	Name: "ctxpropagate",
 	Doc:  "functions receiving a ctx must not mint context.Background/TODO; library code threads the caller's context",

@@ -57,15 +57,10 @@ func BenchmarkRunPrepared(b *testing.B) {
 	for _, name := range names {
 		cfg := cases[name]
 		b.Run(name, func(b *testing.B) {
-			sim, err := New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.SetBytes(int64(len(events)))
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunPrepared(pt); err != nil {
+				if _, err := RunPreparedTrace(cfg, pt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -88,7 +83,7 @@ func BenchmarkReplayByType(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(events)))
 			for i := 0; i < b.N; i++ {
-				if _, err := RunTrace(cfg, events); err != nil {
+				if _, err := replayOnce(cfg, events); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -102,7 +97,7 @@ func BenchmarkReplayByChannels(b *testing.B) {
 		cfg := NewDRAMConfig(ch, 2000, 666)
 		b.Run(strconv.Itoa(ch)+"ch", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunTrace(cfg, events); err != nil {
+				if _, err := replayOnce(cfg, events); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -167,18 +162,15 @@ func BenchmarkReplayPhase(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim, err := New(NewDRAMConfig(2, 2000, 666))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sim.RunPrepared(pt); err != nil { // warm the partition cache
+	cfg := NewDRAMConfig(2, 2000, 666)
+	if _, err := RunPreparedTrace(cfg, pt); err != nil { // warm the partition cache
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(events)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunPrepared(pt); err != nil {
+		if _, err := RunPreparedTrace(cfg, pt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -192,11 +184,11 @@ func BenchmarkAssemblePhase(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim, err := New(NewDRAMConfig(4, 2000, 666))
+	sim, err := newSimulator(NewDRAMConfig(4, 2000, 666))
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := sim.RunPrepared(pt)
+	res, err := sim.runPrepared(pt)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -57,7 +57,7 @@ type channelEngine struct {
 	frfcfs   bool
 }
 
-func newChannelEngine(s *Simulator, st *engineState) channelEngine {
+func newChannelEngine(s *simulator, st *engineState) channelEngine {
 	cfg := &s.cfg
 	e := channelEngine{
 		cfg:       cfg,

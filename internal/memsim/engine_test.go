@@ -50,7 +50,7 @@ func TestServiceCompletionsNonDecreasing(t *testing.T) {
 }
 
 func checkServiceMonotone(t *testing.T, cfg Config) {
-	s, err := New(cfg)
+	s, err := newSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFlatTierMatchesFloatCut(t *testing.T) {
 	for _, f := range fracs {
 		cfg := NewHybridConfig(2, 2000, 666, 67, f)
 		cfg.HybridMode = HybridFlat
-		s, err := New(cfg)
+		s, err := newSimulator(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -196,7 +196,7 @@ func TestGoldenEquivalence(t *testing.T) {
 			if c.highLines {
 				events, pt = high, highPT
 			}
-			res, err := RunTrace(c.cfg, events)
+			res, err := replayOnce(c.cfg, events)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,28 +208,25 @@ func TestGoldenEquivalence(t *testing.T) {
 			}
 			want := loadFixture(t, c.name)
 			if !reflect.DeepEqual(res, want) {
-				t.Fatalf("Run diverged from golden fixture %s:\n got %+v\nwant %+v", c.name, res, want)
+				t.Fatalf("fresh replay diverged from golden fixture %s:\n got %+v\nwant %+v", c.name, res, want)
 			}
-			// The prepared path must be identical, not merely close.
-			sim, err := New(c.cfg)
+			// A replay on the trace every case shares must be identical,
+			// not merely close.
+			shared, err := RunPreparedTrace(c.cfg, pt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prepRes, err := sim.RunPrepared(pt)
-			if err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(shared, want) {
+				t.Fatalf("shared-trace replay diverged from golden fixture %s", c.name)
 			}
-			if !reflect.DeepEqual(prepRes, want) {
-				t.Fatalf("RunPrepared diverged from golden fixture %s", c.name)
-			}
-			// Replaying again on the same simulator exercises state reuse
-			// (pooled engines, cached partitions); still bit-identical.
-			again, err := sim.RunPrepared(pt)
+			// Replaying again exercises state reuse (pooled engines, cached
+			// partitions); still bit-identical.
+			again, err := RunPreparedTrace(c.cfg, pt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(again, want) {
-				t.Fatalf("repeat RunPrepared diverged from golden fixture %s", c.name)
+				t.Fatalf("repeat replay diverged from golden fixture %s", c.name)
 			}
 		})
 	}

@@ -35,7 +35,7 @@ func TestValidatePhysicalAcceptsRealResults(t *testing.T) {
 		"hybridFlat": func() Config { c := NewHybridConfig(2, 2000, 400, 40, 0.5); c.HybridMode = HybridFlat; return c }(),
 	}
 	for name, cfg := range configs {
-		res, err := RunTrace(cfg, events)
+		res, err := replayOnce(cfg, events)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -47,7 +47,7 @@ func TestValidatePhysicalAcceptsRealResults(t *testing.T) {
 
 func TestValidatePhysicalRejectsImpossibleBandwidth(t *testing.T) {
 	events := invariantTrace(500)
-	res, err := RunTrace(NewDRAMConfig(2, 2000, 400), events)
+	res, err := replayOnce(NewDRAMConfig(2, 2000, 400), events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestValidatePhysicalRejectsImpossibleBandwidth(t *testing.T) {
 
 func TestValidatePhysicalRejectsSubFloorLatency(t *testing.T) {
 	events := invariantTrace(500)
-	res, err := RunTrace(NewNVMConfig(2, 2000, 400, 50), events)
+	res, err := replayOnce(NewNVMConfig(2, 2000, 400, 50), events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestValidatePhysicalRejectsSubFloorLatency(t *testing.T) {
 
 func TestValidatePhysicalRejectsZeroPowerAndBadOps(t *testing.T) {
 	events := invariantTrace(500)
-	res, err := RunTrace(NewDRAMConfig(2, 2000, 400), events)
+	res, err := replayOnce(NewDRAMConfig(2, 2000, 400), events)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,20 +29,24 @@ func waitGoroutinesSettle(t *testing.T, base int) {
 	}
 }
 
-func TestRunTraceSourceNoGoroutineLeak(t *testing.T) {
+func TestPrepareSourceReplayNoGoroutineLeak(t *testing.T) {
 	events := syntheticTrace(4000, 51)
 	base := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
 		cfg := NewDRAMConfig(4, 2000, 400)
-		if _, err := RunTraceSource(cfg, trace.NewSliceSource(events)); err != nil {
+		pt, err := PrepareSource(trace.NewSliceSource(events))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunPreparedTrace(cfg, pt); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitGoroutinesSettle(t, base)
 }
 
-// errSource fails after delivering a prefix, exercising the simulator's
-// error-path teardown of the per-channel goroutines.
+// errSource fails after delivering a prefix, exercising the error path of
+// draining a stream.
 type errSource struct {
 	inner trace.Source
 	left  int
@@ -60,13 +64,12 @@ func (s *errSource) Next(batch []trace.Event) (int, error) {
 	return n, err
 }
 
-func TestRunTraceSourceErrorPathNoGoroutineLeak(t *testing.T) {
+func TestPrepareSourceErrorPathNoGoroutineLeak(t *testing.T) {
 	events := syntheticTrace(4000, 52)
 	base := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		cfg := NewDRAMConfig(4, 2000, 400)
 		src := &errSource{inner: trace.NewSliceSource(events), left: 1000}
-		if _, err := RunTraceSource(cfg, src); err == nil {
+		if _, err := PrepareSource(src); err == nil {
 			t.Fatal("expected source error to propagate")
 		}
 	}

@@ -66,13 +66,11 @@ type tracePartition struct {
 
 func newTracePartition(channels, capHint int) *tracePartition {
 	tp := &tracePartition{chans: make([]channelPart, channels)}
-	if capHint > 0 {
-		for ch := range tp.chans {
-			tp.chans[ch] = channelPart{
-				cycles: make([]float64, 0, capHint),
-				lines:  make([]uint64, 0, capHint),
-				meta:   make([]uint64, 0, capHint),
-			}
+	for ch := range tp.chans {
+		tp.chans[ch] = channelPart{
+			cycles: make([]float64, 0, capHint),
+			lines:  make([]uint64, 0, capHint),
+			meta:   make([]uint64, 0, capHint),
 		}
 	}
 	return tp

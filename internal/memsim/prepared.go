@@ -202,78 +202,3 @@ func (p *PreparedTrace) Fingerprint() uint32 {
 
 // Stats returns the aggregate trace statistics gathered during preparation.
 func (p *PreparedTrace) Stats() trace.Stats { return p.stats }
-
-// Events reconstructs the trace as a fresh []trace.Event slice. The thread
-// tag is not retained by preparation (the simulator does not consume it), so
-// reconstructed events carry thread 0.
-func (p *PreparedTrace) Events() []trace.Event {
-	out := make([]trace.Event, len(p.cycles))
-	for i := range out {
-		op := trace.Read
-		if p.writes[i] {
-			op = trace.Write
-		}
-		out[i] = trace.Event{Cycle: p.cycles[i], Op: op, Addr: p.addrs[i]}
-	}
-	return out
-}
-
-// RunPrepared replays a prepared trace. Events are not re-validated — that
-// happened once at Prepare time — and the per-channel partition is drawn
-// from the trace's geometry-keyed cache, so per-point cost is channel
-// simulation plus (on a geometry's first use only) address mapping.
-func (s *Simulator) RunPrepared(p *PreparedTrace) (*Result, error) {
-	if p.Len() == 0 {
-		return nil, ErrEmptyTrace
-	}
-	return s.runPartition(p.partitionFor(s.mapper), &p.suffixes)
-}
-
-// RunSource replays a trace stream in one pass without materializing it as
-// []trace.Event: each batch is validated, mapped, and partitioned into the
-// per-channel queues as it arrives. Memory use is the simulator's working
-// form (the per-channel partition) plus one batch.
-func (s *Simulator) RunSource(src trace.Source) (*Result, error) {
-	part := newTracePartition(s.cfg.Channels, 0)
-	batch := make([]trace.Event, trace.DefaultBatch)
-	total := 0
-	for {
-		n, err := src.Next(batch)
-		for _, e := range batch[:n] {
-			if verr := e.Validate(); verr != nil {
-				return nil, verr
-			}
-			part.route(s.mapper, e.Cycle, e.Addr, e.Op == trace.Write)
-		}
-		total += n
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if total == 0 {
-		return nil, ErrEmptyTrace
-	}
-	return s.runPartition(part, nil)
-}
-
-// RunPreparedTrace is the PreparedTrace analog of RunTrace: build a
-// simulator for cfg and replay the prepared trace in one call.
-func RunPreparedTrace(cfg Config, p *PreparedTrace) (*Result, error) {
-	sim, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sim.RunPrepared(p)
-}
-
-// RunTraceSource is the streaming analog of RunTrace.
-func RunTraceSource(cfg Config, src trace.Source) (*Result, error) {
-	sim, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sim.RunSource(src)
-}

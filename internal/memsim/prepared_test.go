@@ -23,9 +23,9 @@ func preparedConfigs() map[string]Config {
 	}
 }
 
-// TestRunPreparedMatchesRun is the core decode-once guarantee: replaying a
-// PreparedTrace must yield a Result identical to the validate-per-run slice
-// path, for every memory organization.
+// TestRunPreparedMatchesRun is the core decode-once guarantee: replaying one
+// PreparedTrace shared by every memory organization must yield a Result
+// identical to a one-shot replay of a freshly prepared trace.
 func TestRunPreparedMatchesRun(t *testing.T) {
 	events := syntheticTrace(4000, 7)
 	pt, err := Prepare(events)
@@ -39,29 +39,39 @@ func TestRunPreparedMatchesRun(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: RunPrepared result differs from Run:\n got %+v\nwant %+v", name, got, want)
+			t.Fatalf("%s: shared-trace replay differs from a one-shot replay:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }
 
-// TestRunSourceMatchesRun: streaming a trace through RunSource must be
-// indistinguishable from running the equivalent slice.
+// replaySource drains a stream into a PreparedTrace and replays it once.
+func replaySource(cfg Config, src trace.Source) (*Result, error) {
+	pt, err := PrepareSource(src)
+	if err != nil {
+		return nil, err
+	}
+	return RunPreparedTrace(cfg, pt)
+}
+
+// TestRunSourceMatchesRun: replaying a streamed slice must be
+// indistinguishable from replaying the slice itself, for every memory
+// organization.
 func TestRunSourceMatchesRun(t *testing.T) {
 	events := syntheticTrace(4000, 8)
 	for name, cfg := range preparedConfigs() {
 		want := runCfg(t, cfg, events)
-		got, err := RunTraceSource(cfg, trace.NewSliceSource(events))
+		got, err := replaySource(cfg, trace.NewSliceSource(events))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: RunSource result differs from Run:\n got %+v\nwant %+v", name, got, want)
+			t.Fatalf("%s: streamed replay differs from slice replay:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }
 
 // TestRunSourceFromText streams straight from NVMain text — the cmd/memsim
-// path — and must match the parse-then-run pipeline.
+// input — and must match the parse-then-run pipeline.
 func TestRunSourceFromText(t *testing.T) {
 	events := syntheticTrace(1000, 9)
 	var buf bytes.Buffer
@@ -70,12 +80,12 @@ func TestRunSourceFromText(t *testing.T) {
 	}
 	cfg := NewDRAMConfig(2, 2000, 400)
 	want := runCfg(t, cfg, events)
-	got, err := RunTraceSource(cfg, trace.NewNVMainSource(&buf))
+	got, err := replaySource(cfg, trace.NewNVMainSource(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("RunSource over NVMain text differs from slice path")
+		t.Fatal("replay of NVMain text differs from slice replay")
 	}
 }
 
@@ -107,24 +117,6 @@ func TestPrepareSourceMatchesPrepare(t *testing.T) {
 	}
 }
 
-func TestPreparedEventsRoundTrip(t *testing.T) {
-	events := syntheticTrace(500, 11)
-	pt, err := Prepare(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := pt.Events()
-	if len(back) != len(events) {
-		t.Fatalf("Events() len = %d, want %d", len(back), len(events))
-	}
-	for i := range back {
-		// Thread is not retained; everything else must survive.
-		if back[i].Cycle != events[i].Cycle || back[i].Op != events[i].Op || back[i].Addr != events[i].Addr {
-			t.Fatalf("event %d: %+v vs %+v", i, back[i], events[i])
-		}
-	}
-}
-
 func TestPrepareRejectsBadEvent(t *testing.T) {
 	if _, err := Prepare([]trace.Event{{Cycle: 1, Op: 'Q'}}); err == nil {
 		t.Fatal("expected bad-op error")
@@ -142,14 +134,14 @@ func TestRunPreparedEmpty(t *testing.T) {
 }
 
 func TestRunSourceEmpty(t *testing.T) {
-	if _, err := RunTraceSource(NewDRAMConfig(2, 2000, 400), trace.NewSliceSource(nil)); err != ErrEmptyTrace {
-		t.Fatal("expected ErrEmptyTrace")
+	if _, err := replaySource(NewDRAMConfig(2, 2000, 400), trace.NewSliceSource(nil)); err != ErrEmptyTrace {
+		t.Fatalf("err = %v, want ErrEmptyTrace", err)
 	}
 }
 
 func TestRunSourceRejectsBadEvent(t *testing.T) {
 	bad := []trace.Event{{Cycle: 1, Op: 'Q'}}
-	if _, err := RunTraceSource(NewDRAMConfig(2, 2000, 400), trace.NewSliceSource(bad)); err == nil {
+	if _, err := replaySource(NewDRAMConfig(2, 2000, 400), trace.NewSliceSource(bad)); err == nil {
 		t.Fatal("expected bad-op error")
 	}
 }
@@ -211,20 +203,20 @@ func TestRunPreparedAllocBound(t *testing.T) {
 	}
 	names, cases := benchConfigs()
 	for _, name := range names {
-		sim, err := New(cases[name])
+		sim, err := newSimulator(cases[name])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.RunPrepared(pt); err != nil { // warm partition cache + pool
+		if _, err := sim.runPrepared(pt); err != nil { // warm partition cache + pool
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := sim.RunPrepared(pt); err != nil {
+			if _, err := sim.runPrepared(pt); err != nil {
 				panic(err)
 			}
 		})
 		if allocs > 32 {
-			t.Fatalf("%s: RunPrepared allocated %.0f times for %d events; want the constant snapshot cost (<=32)", name, allocs, len(events))
+			t.Fatalf("%s: a replay allocated %.0f times for %d events; want the constant snapshot cost (<=32)", name, allocs, len(events))
 		}
 		st := sim.acquireState()
 		part := &pt.partitionFor(sim.mapper).chans[0]

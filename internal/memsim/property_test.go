@@ -52,7 +52,7 @@ func TestPropSimulatorInvariants(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			cfg.Scheduler = FCFS
 		}
-		res, err := RunTrace(cfg, events)
+		res, err := replayOnce(cfg, events)
 		if err != nil {
 			return false
 		}
@@ -80,9 +80,10 @@ func TestPropSimulatorInvariants(t *testing.T) {
 	}
 }
 
-// Property: Run, RunPrepared on a fresh simulator, and RunPrepared again on
-// the same simulator (pooled engines + cached partition) are the same
-// function — bit-identical Results for random traces and configurations.
+// Property: a replay on a freshly prepared trace, a replay on a second
+// prepared trace, and a repeat replay on that trace (pooled engines + cached
+// partition) are the same function — bit-identical Results for random
+// traces and configurations.
 // This is the live generalization of the committed golden fixtures.
 func TestPropReplayPathEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
@@ -122,7 +123,7 @@ func TestPropReplayPathEquivalence(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			cfg.Mapping = MapChannelBlocked
 		}
-		want, err := RunTrace(cfg, events)
+		want, err := replayOnce(cfg, events)
 		if err != nil {
 			return false
 		}
@@ -130,15 +131,11 @@ func TestPropReplayPathEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sim, err := New(cfg)
-		if err != nil {
-			return false
-		}
-		got, err := sim.RunPrepared(pt)
+		got, err := RunPreparedTrace(cfg, pt)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			return false
 		}
-		again, err := sim.RunPrepared(pt) // pooled engine + cached partition
+		again, err := RunPreparedTrace(cfg, pt) // pooled engine + cached partition
 		return err == nil && reflect.DeepEqual(again, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -164,7 +161,7 @@ func TestPropCacheHybridTrafficBounds(t *testing.T) {
 		}
 		cfg := NewHybridConfig(2, 2000, 666, 67, 0.25)
 		cfg.CacheLines = 256 + rng.Intn(4096)
-		res, err := RunTrace(cfg, events)
+		res, err := replayOnce(cfg, events)
 		if err != nil {
 			return false
 		}

@@ -5,67 +5,61 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"graphdse/internal/trace"
 )
 
-// Simulator replays memory traces against one configuration. The engine
+// simulator replays prepared traces against one configuration. The engine
 // itself lives in engine.go (per-channel replay over pooled state),
 // partition.go (the SoA per-channel trace form) and timing.go (folded
-// per-tier timing tables); this file holds the public entry points and
-// result assembly.
-type Simulator struct {
+// per-tier timing tables); this file holds the run entry point and result
+// assembly.
+type simulator struct {
 	cfg    Config
 	mapper *AddressMapper
 	back   timingTable // backing-store tier (the only tier for DRAM/NVM)
 	front  timingTable // DRAM tier of a hybrid (cache front or flat DRAM half)
 }
 
-// ErrEmptyTrace is returned when Run is given no events.
+// ErrEmptyTrace is returned when a replay is given a trace with no events.
 var ErrEmptyTrace = errors.New("memsim: empty trace")
 
-// New validates the configuration and builds a simulator.
-func New(cfg Config) (*Simulator, error) {
+// newSimulator validates the configuration and builds a simulator.
+func newSimulator(cfg Config) (*simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg}
+	s := &simulator{cfg: cfg}
 	s.mapper = NewAddressMapper(&s.cfg)
 	s.back = buildTimingTable(&s.cfg.Timing, &s.cfg.Energy)
 	s.front = buildTimingTable(&s.cfg.CacheTiming, &s.cfg.CacheEnergy)
 	return s, nil
 }
 
-// Config returns the validated configuration.
-func (s *Simulator) Config() Config { return s.cfg }
-
-// Run replays events (CPU-cycle timestamps, ascending) and returns the
-// aggregated metrics. Channels are independent and simulated in parallel.
-// For sweeps replaying the same trace against many configurations, prefer
-// Prepare + RunPrepared, which validates and decodes the trace once and
-// shares partitions across points of equal mapping geometry; for traces too
-// large to hold in memory, use RunSource.
-func (s *Simulator) Run(events []trace.Event) (*Result, error) {
-	if len(events) == 0 {
-		return nil, ErrEmptyTrace
+// RunPreparedTrace replays a prepared trace (CPU-cycle timestamps,
+// ascending) against cfg and returns the aggregated metrics. It is the one
+// way to run a trace: Prepare or PrepareSource validates and decodes it
+// once, and any number of replays, concurrent ones included, share it.
+// Events are not re-validated, and the per-channel partition is drawn from
+// the trace's geometry-keyed cache, so a replay costs channel simulation
+// plus (on a geometry's first use only) address mapping.
+func RunPreparedTrace(cfg Config, p *PreparedTrace) (*Result, error) {
+	s, err := newSimulator(cfg)
+	if err != nil {
+		return nil, err
 	}
-	part := newTracePartition(s.cfg.Channels, partitionCapHint(len(events), s.cfg.Channels))
-	for _, e := range events {
-		if err := e.Validate(); err != nil {
-			return nil, err
-		}
-		part.route(s.mapper, e.Cycle, e.Addr, e.Op == trace.Write)
-	}
-	return s.runPartition(part, nil)
+	return s.runPrepared(p)
 }
 
-// runPartition simulates the partitioned trace and assembles the result —
-// the shared back half of Run, RunPrepared, and RunSource. Each channel
+// runPrepared simulates the trace's partition and assembles the result.
+// Channels are independent and simulated in parallel. Each channel
 // goroutine draws its mutable state from the engine pool and returns it when
-// the channel drains, so steady-state sweeps allocate only the snapshot.
-// With a suffix memo (RunPrepared), channels may take their suffix from a
-// clock-ratio sibling (suffix.go).
-func (s *Simulator) runPartition(part *tracePartition, memo *suffixMemo) (*Result, error) {
+// the channel drains, so steady-state sweeps allocate only the snapshot. A
+// channel may take its suffix from a clock-ratio sibling through the trace's
+// suffix memo (suffix.go).
+func (s *simulator) runPrepared(p *PreparedTrace) (*Result, error) {
+	if p.Len() == 0 {
+		return nil, ErrEmptyTrace
+	}
+	part := p.partitionFor(s.mapper)
 	cfg := &s.cfg
 	ratio := cfg.CtrlFreqMHz / cfg.CPUFreqMHz
 	stats := make([]ChannelStats, cfg.Channels)
@@ -77,7 +71,7 @@ func (s *Simulator) runPartition(part *tracePartition, memo *suffixMemo) (*Resul
 			defer wg.Done()
 			st := s.acquireState()
 			eng := newChannelEngine(s, st)
-			eng.replay(s, &part.chans[ch], ratio, memo, ch, &stats[ch], &hitRates[ch])
+			eng.replay(s, &part.chans[ch], ratio, &p.suffixes, ch, &stats[ch], &hitRates[ch])
 			releaseEngineState(st)
 		}(ch)
 	}
@@ -93,13 +87,13 @@ func (s *Simulator) runPartition(part *tracePartition, memo *suffixMemo) (*Resul
 
 // acquireState draws one channel's pooled engine state, shaped for this
 // simulator's geometry.
-func (s *Simulator) acquireState() *engineState {
+func (s *simulator) acquireState() *engineState {
 	nb, rows, depth, cacheLines, cacheWays := s.stateShape()
 	return acquireEngineState(nb, rows, depth, cacheLines, cacheWays)
 }
 
 // stateShape is the engine-state geometry of this simulator's channels.
-func (s *Simulator) stateShape() (nb, rows, depth, cacheLines, cacheWays int) {
+func (s *simulator) stateShape() (nb, rows, depth, cacheLines, cacheWays int) {
 	cfg := &s.cfg
 	if cfg.Type == Hybrid && cfg.HybridMode != HybridFlat {
 		cacheLines, cacheWays = cfg.CacheLines, cfg.CacheWays
@@ -107,7 +101,7 @@ func (s *Simulator) stateShape() (nb, rows, depth, cacheLines, cacheWays int) {
 	return s.mapper.BanksPerChannel(), cfg.RowsPerBank, cfg.QueueDepth, cacheLines, cacheWays
 }
 
-func (s *Simulator) assemble(stats []ChannelStats, hitRates []float64) *Result {
+func (s *simulator) assemble(stats []ChannelStats, hitRates []float64) *Result {
 	cfg := &s.cfg
 	res := &Result{Config: *cfg, Channels: stats}
 	var lastCompletion uint64
@@ -184,7 +178,7 @@ func (s *Simulator) assemble(stats []ChannelStats, hitRates []float64) *Result {
 }
 
 // staticWatts returns the per-channel static+interface power.
-func (s *Simulator) staticWatts() float64 {
+func (s *simulator) staticWatts() float64 {
 	cfg := &s.cfg
 	switch cfg.Type {
 	case Hybrid:
@@ -195,16 +189,6 @@ func (s *Simulator) staticWatts() float64 {
 	default:
 		return cfg.Energy.StaticWatts + cfg.Energy.IOWattsPerMHz*cfg.CtrlFreqMHz
 	}
-}
-
-// RunTrace is a convenience helper: build a simulator for cfg and replay
-// events in one call.
-func RunTrace(cfg Config, events []trace.Event) (*Result, error) {
-	sim, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(events)
 }
 
 // FormatMetric renders one metric value the way the paper's tables do.

@@ -82,9 +82,19 @@ func scatterTrace(n int, seed int64) []trace.Event {
 	return events
 }
 
+// replayOnce is the one-shot route: it prepares events afresh and replays
+// them, so the result shares no partition or suffix with any other replay.
+func replayOnce(cfg Config, events []trace.Event) (*Result, error) {
+	pt, err := Prepare(events)
+	if err != nil {
+		return nil, err
+	}
+	return RunPreparedTrace(cfg, pt)
+}
+
 func runCfg(t *testing.T, cfg Config, events []trace.Event) *Result {
 	t.Helper()
-	res, err := RunTrace(cfg, events)
+	res, err := replayOnce(cfg, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,20 +102,20 @@ func runCfg(t *testing.T, cfg Config, events []trace.Event) *Result {
 }
 
 func TestRunEmptyTrace(t *testing.T) {
-	if _, err := RunTrace(NewDRAMConfig(2, 2000, 400), nil); err == nil {
+	if _, err := replayOnce(NewDRAMConfig(2, 2000, 400), nil); err == nil {
 		t.Fatal("expected empty-trace error")
 	}
 }
 
 func TestRunRejectsBadEvent(t *testing.T) {
 	events := []trace.Event{{Cycle: 1, Op: 'Q', Addr: 0}}
-	if _, err := RunTrace(NewDRAMConfig(2, 2000, 400), events); err == nil {
+	if _, err := replayOnce(NewDRAMConfig(2, 2000, 400), events); err == nil {
 		t.Fatal("expected bad-op error")
 	}
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := RunTrace(Config{}, syntheticTrace(10, 1)); err == nil {
+	if _, err := replayOnce(Config{}, syntheticTrace(10, 1)); err == nil {
 		t.Fatal("expected config error")
 	}
 }

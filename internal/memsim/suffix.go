@@ -152,12 +152,8 @@ func (m *suffixMemo) snapshot() SuffixMemoStats {
 	return st
 }
 
-// replay simulates one channel into dst, through the memo when m is non-nil.
-func (e *channelEngine) replay(s *Simulator, cp *channelPart, ratio float64, m *suffixMemo, ch int, dst *ChannelStats, hitRate *float64) {
-	if m == nil {
-		e.replayFrom(cp, ratio, nil, dst, hitRate)
-		return
-	}
+// replay simulates one channel into dst through the trace's suffix memo.
+func (e *channelEngine) replay(s *simulator, cp *channelPart, ratio float64, m *suffixMemo, ch int, dst *ChannelStats, hitRate *float64) {
 	key := newSuffixKey(&s.cfg, ch)
 	ref := m.lookup(key, ratio)
 	rs, compared, derived := e.replayFrom(cp, ratio, ref, dst, hitRate)
@@ -200,7 +196,7 @@ func (e *channelEngine) replayFrom(cp *channelPart, ratio float64, ref *suffixEn
 // wait for a slot. captureSuffix returns nil when the checkpoint would
 // fall in the second half of the channel, where a reference saves too
 // little to pay for itself.
-func (s *Simulator) captureSuffix(st *engineState, cp *channelPart, ratio float64, fin *runState, end *ChannelStats) *suffixEntry {
+func (s *simulator) captureSuffix(st *engineState, cp *channelPart, ratio float64, fin *runState, end *ChannelStats) *suffixEntry {
 	stop := fin.limited + 1 + s.cfg.QueueDepth
 	if stop > cp.len()/2 {
 		return nil

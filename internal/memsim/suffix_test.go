@@ -90,10 +90,11 @@ func suffixConfig(rng *rand.Rand) Config {
 }
 
 // replayFresh is the reference: a replay that shares nothing with any other
-// replay (Simulator.Run partitions afresh and has no suffix memo).
+// replay (a freshly prepared trace has an empty partition cache and an empty
+// suffix memo).
 func replayFresh(t testing.TB, cfg Config, events []trace.Event) string {
 	t.Helper()
-	res, err := RunTrace(cfg, events)
+	res, err := replayOnce(cfg, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +211,11 @@ func TestSuffixShareAnyReferenceIsExact(t *testing.T) {
 		refCfg := cfg
 		refCfg.CPUFreqMHz = float64(1000 + 500*cpus[0])
 		cfg.CPUFreqMHz = float64(1000 + 500*cpus[1])
-		refSim, err := New(refCfg)
+		refSim, err := newSimulator(refCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := New(cfg)
+		sim, err := newSimulator(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +224,7 @@ func TestSuffixShareAnyReferenceIsExact(t *testing.T) {
 		part := pt.partitionFor(sim.mapper)
 		for ch := range part.chans {
 			cp := &part.chans[ch]
-			replay := func(s *Simulator, ratio float64, ref *suffixEntry) (st ChannelStats, hit float64, rs runState, ok bool) {
+			replay := func(s *simulator, ratio float64, ref *suffixEntry) (st ChannelStats, hit float64, rs runState, ok bool) {
 				state := s.acquireState()
 				defer releaseEngineState(state)
 				e := newChannelEngine(s, state)

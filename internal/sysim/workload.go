@@ -290,21 +290,14 @@ func TraceSSSP(m *Machine, g *graph.CSR, source uint32) (*WorkloadResult, error)
 	}, nil
 }
 
-// PaperWorkloadTrace reproduces the paper's exact workload setup: generate a
-// GTGraph R-MAT graph with numVertices and edgeFactor, run the Graph500 BFS
-// kernel from a deterministic pseudo-random root (per seed), and return the
-// machine (holding the trace) plus the kernel summary. repeats > 1 runs BFS
-// from additional roots, scaling the trace the way Graph500's 64-root
-// harness does.
-func PaperWorkloadTrace(cfg Config, numVertices, edgeFactor int, seed int64, repeats int) (*Machine, *WorkloadResult, error) {
-	//lint:ignore ctxpropagate documented top-level wrapper: the no-ctx convenience API mints the root context for PaperWorkloadTraceContext
-	return PaperWorkloadTraceContext(context.Background(), cfg, numVertices, edgeFactor, seed, repeats, nil)
-}
-
-// PaperWorkloadTraceContext is PaperWorkloadTrace under supervision: ctx is
-// checked between BFS roots (a multi-root Graph500 harness can be cancelled
-// at root granularity) and beat, when non-nil, is called after each root as
-// a progress heartbeat.
+// PaperWorkloadTraceContext reproduces the paper's exact workload setup:
+// generate a GTGraph R-MAT graph with numVertices and edgeFactor, run the
+// Graph500 BFS kernel from a deterministic pseudo-random root (per seed),
+// and return the machine (holding the trace) plus the kernel summary.
+// repeats > 1 runs BFS from additional roots, scaling the trace the way
+// Graph500's 64-root harness does. ctx is checked between BFS roots (a
+// multi-root harness can be cancelled at root granularity) and beat, when
+// non-nil, is called after each root as a progress heartbeat.
 func PaperWorkloadTraceContext(ctx context.Context, cfg Config, numVertices, edgeFactor int, seed int64, repeats int, beat func()) (*Machine, *WorkloadResult, error) {
 	if repeats <= 0 {
 		repeats = 1

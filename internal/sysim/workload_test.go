@@ -1,6 +1,7 @@
 package sysim
 
 import (
+	"context"
 	"testing"
 
 	"graphdse/internal/graph"
@@ -151,7 +152,7 @@ func TestTraceConnectedComponents(t *testing.T) {
 }
 
 func TestPaperWorkloadTrace(t *testing.T) {
-	m, res, err := PaperWorkloadTrace(DefaultConfig(), 1024, 16, 42, 1)
+	m, res, err := PaperWorkloadTraceContext(context.Background(), DefaultConfig(), 1024, 16, 42, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +171,11 @@ func TestPaperWorkloadTrace(t *testing.T) {
 }
 
 func TestPaperWorkloadTraceRepeatsScaleTrace(t *testing.T) {
-	m1, _, err := PaperWorkloadTrace(DefaultConfig(), 256, 8, 1, 1)
+	m1, _, err := PaperWorkloadTraceContext(context.Background(), DefaultConfig(), 256, 8, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m3, _, err := PaperWorkloadTrace(DefaultConfig(), 256, 8, 1, 3)
+	m3, _, err := PaperWorkloadTraceContext(context.Background(), DefaultConfig(), 256, 8, 1, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +186,10 @@ func TestPaperWorkloadTraceRepeatsScaleTrace(t *testing.T) {
 }
 
 func TestPaperWorkloadTraceBadArgs(t *testing.T) {
-	if _, _, err := PaperWorkloadTrace(DefaultConfig(), 1, 16, 1, 1); err == nil {
+	if _, _, err := PaperWorkloadTraceContext(context.Background(), DefaultConfig(), 1, 16, 1, 1, nil); err == nil {
 		t.Fatal("expected graph error")
 	}
-	if _, _, err := PaperWorkloadTrace(Config{}, 64, 4, 1, 1); err == nil {
+	if _, _, err := PaperWorkloadTraceContext(context.Background(), Config{}, 64, 4, 1, 1, nil); err == nil {
 		t.Fatal("expected machine error")
 	}
 }
@@ -279,7 +280,7 @@ func TestPrefetcherAddsTraffic(t *testing.T) {
 }
 
 func TestPaperWorkloadTraceNegativeSeed(t *testing.T) {
-	m, res, err := PaperWorkloadTrace(DefaultConfig(), 128, 4, -5, 1)
+	m, res, err := PaperWorkloadTraceContext(context.Background(), DefaultConfig(), 128, 4, -5, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
