@@ -16,13 +16,16 @@ import (
 // The suffix memo keeps, per (configuration without its CPU clock,
 // channel), one reference replay: its canonical engine state at a
 // checkpoint just past its fill-up, and its statistics at the checkpoint
-// and at the end. A replay at a strictly smaller ratio runs only up to the
-// checkpoint, checks that the reference's suffix is provably its own,
-// shifted, and if so takes its remaining statistics from the reference; on
-// any mismatch it continues from where it stopped.
+// and at the end. The state at the checkpoint is materialized when a
+// sibling first needs it, so a one-shot replay pays nothing for it. A
+// replay at a strictly smaller ratio runs only up to the checkpoint,
+// checks that the reference's suffix is provably its own, shifted, and if
+// so takes its remaining statistics from the reference; on any mismatch
+// it continues from where it stopped.
 
-// suffixMemoCap bounds memo entries per prepared trace. One entry is
-// O(banks + QueueDepth) words; the paper's 416-point sweep needs one per
+// suffixMemoCap bounds memo entries per prepared trace. One entry is a
+// Config and a ChannelStats, plus O(banks + QueueDepth) words and another
+// ChannelStats once materialized; the paper's 416-point sweep needs one per
 // (configuration without its CPU clock, channel) that saturates early, 284
 // at paper scale.
 const suffixMemoCap = 512
@@ -45,22 +48,32 @@ func newSuffixKey(cfg *Config, ch int) suffixKey {
 	return k
 }
 
-// suffixEntry is one reference replay. It is immutable once published.
+// suffixEntry is one reference replay. What a finished replay knows for
+// free is stored at capture; the engine state at the checkpoint costs a
+// re-run of the prefix, so it is materialized only when a sibling first
+// needs it (canonical). Its fields are immutable once published.
 type suffixEntry struct {
+	cfg   Config // the reference's configuration, CPU clock included
 	ratio float64
-	stop  int // the checkpoint: the first loop top with next ≥ stop
+	stop  int          // the checkpoint: the first loop top with next ≥ stop
+	end   ChannelStats // statistics at the end
 
-	// Engine state at the checkpoint. Times are offsets from now; times
-	// that can no longer bind are clamped to now (offset 0).
+	once  sync.Once
+	canon *suffixState // nil until materialized, or if materializing failed
+}
+
+// suffixState is a reference's engine state at its checkpoint. Times are
+// offsets from now; times that can no longer bind are clamped to now
+// (offset 0).
+type suffixState struct {
 	now                  uint64
 	next, winLen, infLen int
 	busFree              uint64
 	win                  []winReq // enq holds now − enq
 	inflight             []uint64
-	banks                []bankState // nextRefreshAt stays absolute
-	reordered            bool        // FR-FCFS reordered the prefix
-
-	ck, end ChannelStats // statistics at the checkpoint and at the end
+	banks                []bankState  // nextRefreshAt stays absolute
+	reordered            bool         // FR-FCFS reordered the prefix
+	ck                   ChannelStats // statistics at the checkpoint
 }
 
 // SuffixMemoStats reports the suffix memo's occupancy and traffic.
@@ -164,7 +177,7 @@ func (e *channelEngine) replay(s *simulator, cp *channelPart, ratio float64, m *
 		return
 	}
 	if m.wants(key, ratio) {
-		if ref := s.captureSuffix(e.st, cp, ratio, &rs, dst); ref != nil {
+		if ref := s.captureSuffix(cp, ratio, &rs, dst); ref != nil {
 			m.store(key, ref)
 		}
 	}
@@ -189,46 +202,60 @@ func (e *channelEngine) replayFrom(cp *channelPart, ratio float64, ref *suffixEn
 }
 
 // captureSuffix turns a finished full replay (its final run state and
-// statistics) into a reference: it resets st, the replay's own engine
-// state, re-runs the channel up to the checkpoint and records the state
-// there. The checkpoint sits QueueDepth admissions past the last
-// arrival-limited one, once the refilled queue holds requests that had to
-// wait for a slot. captureSuffix returns nil when the checkpoint would
-// fall in the second half of the channel, where a reference saves too
-// little to pay for itself.
-func (s *simulator) captureSuffix(st *engineState, cp *channelPart, ratio float64, fin *runState, end *ChannelStats) *suffixEntry {
+// statistics) into a reference. The checkpoint sits QueueDepth admissions
+// past the last arrival-limited one, once the refilled queue holds
+// requests that had to wait for a slot. captureSuffix returns nil when the
+// checkpoint would fall in the second half of the channel, where a
+// reference saves too little to pay for itself.
+func (s *simulator) captureSuffix(cp *channelPart, ratio float64, fin *runState, end *ChannelStats) *suffixEntry {
 	stop := fin.limited + 1 + s.cfg.QueueDepth
 	if stop > cp.len()/2 {
 		return nil
 	}
-	st.reset(s.stateShape())
-	e := newChannelEngine(s, st)
-	rs := newRunState()
-	if !e.run(cp, ratio, &rs, stop) {
-		return nil
-	}
-	now := rs.now
-	ref := &suffixEntry{
-		ratio: ratio, stop: stop, now: now,
-		next: rs.next, winLen: rs.winLen, infLen: rs.infLen,
-		busFree:   clampOffset(rs.busFree, now),
-		reordered: rs.reordered,
-		ck:        e.stats, end: *end,
-	}
+	ref := &suffixEntry{cfg: s.cfg, ratio: ratio, stop: stop, end: *end}
 	ref.end.PerBankBytes = append([]uint64(nil), end.PerBankBytes...)
-	mask := len(st.win) - 1
-	for j := 0; j < rs.winLen; j++ {
-		w := st.win[(rs.winHead+j)&mask]
-		w.enq = now - w.enq
-		ref.win = append(ref.win, w)
-	}
-	for j := 0; j < rs.infLen; j++ {
-		ref.inflight = append(ref.inflight, clampOffset(st.inflight[(rs.infHead+j)&mask], now))
-	}
-	for bi := range st.banks {
-		ref.banks = append(ref.banks, e.canonBank(bi, now))
-	}
 	return ref
+}
+
+// state returns the reference's engine state at its checkpoint,
+// materializing it on first use: it re-runs the reference configuration's
+// prefix of cp, the channel it was captured on, to the checkpoint on a
+// fresh pooled state. It returns nil if that run cannot be made.
+func (r *suffixEntry) state(cp *channelPart) *suffixState {
+	r.once.Do(func() {
+		s, err := newSimulator(r.cfg)
+		if err != nil {
+			return
+		}
+		st := s.acquireState()
+		defer releaseEngineState(st)
+		e := newChannelEngine(s, st)
+		rs := newRunState()
+		if !e.run(cp, r.ratio, &rs, r.stop) {
+			return
+		}
+		now := rs.now
+		c := &suffixState{
+			now: now, next: rs.next, winLen: rs.winLen, infLen: rs.infLen,
+			busFree:   clampOffset(rs.busFree, now),
+			reordered: rs.reordered,
+			ck:        e.stats,
+		}
+		mask := len(st.win) - 1
+		for j := 0; j < rs.winLen; j++ {
+			w := st.win[(rs.winHead+j)&mask]
+			w.enq = now - w.enq
+			c.win = append(c.win, w)
+		}
+		for j := 0; j < rs.infLen; j++ {
+			c.inflight = append(c.inflight, clampOffset(st.inflight[(rs.infHead+j)&mask], now))
+		}
+		for bi := range st.banks {
+			c.banks = append(c.banks, e.canonBank(bi, now))
+		}
+		r.canon = c
+	})
+	return r.canon
 }
 
 // ratioOf is h/(h+m), or 0 when both are 0.
@@ -271,7 +298,11 @@ const shiftLimit = 1 << 62
 // derive completes a replay paused at ref's checkpoint from ref's suffix, if
 // the paused state equals ref's modulo one shift Δ and ref's suffix provably
 // replays the same here. It reports whether it filled dst.
-func (e *channelEngine) derive(cp *channelPart, ratio float64, rs *runState, ref *suffixEntry, dst *ChannelStats, hitRate *float64) bool {
+func (e *channelEngine) derive(cp *channelPart, ratio float64, rs *runState, entry *suffixEntry, dst *ChannelStats, hitRate *float64) bool {
+	ref := entry.state(cp)
+	if ref == nil {
+		return false
+	}
 	now := rs.now
 	if rs.next != ref.next || rs.winLen != ref.winLen || rs.infLen != ref.infLen ||
 		now >= shiftLimit || ref.now >= shiftLimit {
@@ -317,7 +348,7 @@ func (e *channelEngine) derive(cp *channelPart, ratio float64, rs *runState, ref
 	// bound + Δ. The same pass sums both arrivals for StallCycles.
 	var sumRef, sumArr uint64
 	for _, c := range cp.cycles[rs.next:] {
-		f := c * ref.ratio
+		f := c * entry.ratio
 		if !(f < shiftLimit) {
 			return false
 		}
@@ -332,7 +363,7 @@ func (e *channelEngine) derive(cp *channelPart, ratio float64, rs *runState, ref
 	// The suffix replays ref's, shifted by Δ: additive counters take ref's
 	// suffix delta, times shift, and what depends only on the issued
 	// sequence (energy, endurance, per-bank bytes) is ref's.
-	ck, end := &e.stats, &ref.end
+	ck, end := &e.stats, &entry.end
 	d := *ck
 	m := uint64(cp.len() - rs.next)
 	add := func(own, refCk, refEnd uint64) uint64 { return own + (refEnd - refCk) }

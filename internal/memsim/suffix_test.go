@@ -232,9 +232,7 @@ func TestSuffixShareAnyReferenceIsExact(t *testing.T) {
 				return st, hit, rs, ok
 			}
 			end, _, fin, _ := replay(refSim, refRatio, nil)
-			state := refSim.acquireState()
-			ref := refSim.captureSuffix(state, cp, refRatio, &fin, &end)
-			releaseEngineState(state)
+			ref := refSim.captureSuffix(cp, refRatio, &fin, &end)
 			if ref == nil {
 				continue
 			}

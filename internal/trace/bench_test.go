@@ -38,6 +38,32 @@ func BenchmarkReadNVMain(b *testing.B) {
 	}
 }
 
+func BenchmarkWriteGem5(b *testing.B) {
+	events := benchEvents(b, 50000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteGem5(io.Discard, events, 500); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReadGem5(b *testing.B) {
+	events := benchEvents(b, 50000)
+	var buf bytes.Buffer
+	if err := WriteGem5(&buf, events, 500); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadGem5(bytes.NewReader(data), 500); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkWriteBinary(b *testing.B) {
 	events := benchEvents(b, 50000)
 	b.ResetTimer()

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"graphdse/internal/artifact"
@@ -76,9 +75,10 @@ func ConvertSequentialOpts(r io.Reader, w io.Writer, opts ConvertOptions) (Conve
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	bw := bufio.NewWriter(w)
+	var buf [maxNVMainLine]byte
 	for sc.Scan() {
 		st.LinesIn++
-		e, ok, err := ParseGem5Line(sc.Text(), opts.TicksPerCycle)
+		e, ok, err := parseGem5Line(sc.Bytes(), opts.TicksPerCycle)
 		if err != nil {
 			if opts.Text.Strict {
 				return st, fmt.Errorf("line %d: %w", st.LinesIn, err)
@@ -92,7 +92,7 @@ func ConvertSequentialOpts(r io.Reader, w io.Writer, opts ConvertOptions) (Conve
 		if !ok {
 			continue
 		}
-		if _, err := fmt.Fprintf(bw, "%d %c 0x%X %d\n", e.Cycle, e.Op, e.Addr, e.Thread); err != nil {
+		if _, err := bw.Write(appendNVMainLine(buf[:0], e)); err != nil {
 			return st, err
 		}
 		st.EventsOut++
@@ -382,7 +382,7 @@ func splitChunks(input []byte, chunkSize int) [][]byte {
 // malformed lines are dropped and counted; the budget is enforced by the
 // caller over the aggregated counts.
 func convertChunk(chunk []byte, buf *bytes.Buffer, ticksPerCycle uint64, text TextOptions) (lines, events, bad int64, err error) {
-	var numBuf [20]byte
+	var out [maxNVMainLine]byte
 	for len(chunk) > 0 {
 		var line []byte
 		if nl := bytes.IndexByte(chunk, '\n'); nl >= 0 {
@@ -393,7 +393,7 @@ func convertChunk(chunk []byte, buf *bytes.Buffer, ticksPerCycle uint64, text Te
 			chunk = nil
 		}
 		lines++
-		e, ok, perr := ParseGem5Line(string(line), ticksPerCycle)
+		e, ok, perr := parseGem5Line(line, ticksPerCycle)
 		if perr != nil {
 			if text.Strict {
 				return lines, events, bad, perr
@@ -404,31 +404,8 @@ func convertChunk(chunk []byte, buf *bytes.Buffer, ticksPerCycle uint64, text Te
 		if !ok {
 			continue
 		}
-		buf.Write(strconv.AppendUint(numBuf[:0], e.Cycle, 10))
-		buf.WriteByte(' ')
-		buf.WriteByte(byte(e.Op))
-		buf.WriteString(" 0x")
-		buf.Write(upperHex(numBuf[:0], e.Addr))
-		buf.WriteByte(' ')
-		buf.Write(strconv.AppendUint(numBuf[:0], uint64(e.Thread), 10))
-		buf.WriteByte('\n')
+		buf.Write(appendNVMainLine(out[:0], e))
 		events++
 	}
 	return lines, events, bad, nil
-}
-
-// upperHex appends the uppercase hex form of v to dst (matching %X).
-func upperHex(dst []byte, v uint64) []byte {
-	const digits = "0123456789ABCDEF"
-	if v == 0 {
-		return append(dst, '0')
-	}
-	var tmp [16]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = digits[v&0xF]
-		v >>= 4
-	}
-	return append(dst, tmp[i:]...)
 }

@@ -75,7 +75,8 @@ func FuzzReadCompressed(f *testing.F) {
 	})
 }
 
-// FuzzParseNVMainLine checks that any line the NVMain parser accepts
+// FuzzParseNVMainLine checks that the NVMain parser agrees with its
+// string-based oracle on every line, and that any line it accepts
 // round-trips through the writer format: parse → render → reparse must
 // yield the identical event. Seeds run on every plain `go test`.
 func FuzzParseNVMainLine(f *testing.F) {
@@ -88,7 +89,10 @@ func FuzzParseNVMainLine(f *testing.F) {
 	f.Add("12 X 0x40 0")
 	f.Add("12 R")
 	f.Add("12 R 0xZZ 0")
+	f.Add("1\u00a0R 0x1\u3000 2\u0085")
+	f.Add("1 R 0x1 \xe3\xc2\xa0")
 	f.Fuzz(func(t *testing.T, line string) {
+		checkNVMainAgainstOracle(t, line)
 		e, ok, err := ParseNVMainLine(line)
 		if err != nil || !ok {
 			return // rejected or skipped input: nothing to round-trip
@@ -103,9 +107,10 @@ func FuzzParseNVMainLine(f *testing.F) {
 	})
 }
 
-// FuzzParseGem5Line checks the gem5 parser against the gem5 writer at
-// ticksPerCycle=1 (so no tick truncation): any accepted line must survive
-// parse → WriteGem5 → reparse unchanged.
+// FuzzParseGem5Line checks the gem5 parser against its string-based
+// oracle, and against the gem5 writer at ticksPerCycle=1 (so no tick
+// truncation): any accepted line must survive parse → WriteGem5 → reparse
+// unchanged.
 func FuzzParseGem5Line(f *testing.F) {
 	f.Add("500: system.cpu.dcache: ReadReq addr=0x4000 size=8 thread=2")
 	f.Add("1000: system.cpu.dcache: WriteReq addr=0xdeadbeef size=8 thread=0")
@@ -116,7 +121,11 @@ func FuzzParseGem5Line(f *testing.F) {
 	f.Add("abc: system.cpu.dcache: ReadReq addr=0x40")
 	f.Add("300: system.cpu.dcache: ReadReq addr=0xqq size=8")
 	f.Add("")
+	f.Add("\u00a0500\u3000: system.cpu.dcache: ReadReq addr=0x0040 thread=003\u0085")
+	f.Add("1: dcache ReadReq addr=0x1 thread=256 \xff")
 	f.Fuzz(func(t *testing.T, line string) {
+		checkGem5AgainstOracle(t, line, 1)
+		checkGem5AgainstOracle(t, line, 500)
 		e, ok, err := ParseGem5Line(line, 1)
 		if err != nil || !ok {
 			return

@@ -138,13 +138,13 @@ func ForEach(src Source, fn func(Event) error) error {
 // error budget, and Report says exactly what was skipped.
 type TextSource struct {
 	sc     *bufio.Scanner
-	parse  func(string) (Event, bool, error)
+	parse  func([]byte) (Event, bool, error)
 	opts   TextOptions
 	report TextReport
 	err    error
 }
 
-func newTextSource(r io.Reader, opts TextOptions, parse func(string) (Event, bool, error)) *TextSource {
+func newTextSource(r io.Reader, opts TextOptions, parse func([]byte) (Event, bool, error)) *TextSource {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	return &TextSource{sc: sc, parse: parse, opts: opts}
@@ -169,13 +169,13 @@ func (s *TextSource) Next(batch []Event) (int, error) {
 			break
 		}
 		s.report.Lines++
-		e, ok, err := s.parse(s.sc.Text())
+		e, ok, err := s.parse(s.sc.Bytes())
 		if err != nil {
 			if s.opts.Strict {
 				s.err = fmt.Errorf("line %d: %w", s.report.Lines, err)
 				break
 			}
-			s.report.addBadLine(s.report.Lines, s.sc.Text(), err)
+			s.report.addBadLine(s.report.Lines, s.sc.Bytes(), err)
 			if s.opts.MaxBadLines > 0 && s.report.BadLines > s.opts.MaxBadLines {
 				s.err = fmt.Errorf("line %d: %w (%d malformed lines, budget %d)",
 					s.report.Lines, ErrBadLineBudget, s.report.BadLines, s.opts.MaxBadLines)
@@ -206,8 +206,8 @@ func NewGem5Source(r io.Reader, ticksPerCycle uint64) Source {
 // NewGem5SourceOpts streams a gem5-style text trace under the given
 // strict/permissive options.
 func NewGem5SourceOpts(r io.Reader, ticksPerCycle uint64, opts TextOptions) *TextSource {
-	return newTextSource(r, opts, func(line string) (Event, bool, error) {
-		return ParseGem5Line(line, ticksPerCycle)
+	return newTextSource(r, opts, func(line []byte) (Event, bool, error) {
+		return parseGem5Line(line, ticksPerCycle)
 	})
 }
 
@@ -221,7 +221,7 @@ func NewNVMainSource(r io.Reader) Source {
 // NewNVMainSourceOpts streams an NVMain-format text trace under the given
 // strict/permissive options.
 func NewNVMainSourceOpts(r io.Reader, opts TextOptions) *TextSource {
-	return newTextSource(r, opts, ParseNVMainLine)
+	return newTextSource(r, opts, parseNVMainLine)
 }
 
 // BinarySource streams events from the binary trace format, accepting both
@@ -441,7 +441,8 @@ func (s *SalvageSource) Next(batch []Event) (int, error) {
 
 // NVMainSink streams events to w in NVMain text format.
 type NVMainSink struct {
-	bw *bufio.Writer
+	bw   *bufio.Writer
+	line [maxNVMainLine]byte
 }
 
 // NewNVMainSink returns a Sink writing NVMain-format text to w.
@@ -455,7 +456,7 @@ func (s *NVMainSink) Emit(events []Event) error {
 		if err := e.Validate(); err != nil {
 			return err
 		}
-		if err := appendNVMainLine(s.bw, e); err != nil {
+		if _, err := s.bw.Write(appendNVMainLine(s.line[:0], e)); err != nil {
 			return err
 		}
 	}
@@ -469,6 +470,7 @@ func (s *NVMainSink) Flush() error { return s.bw.Flush() }
 type Gem5Sink struct {
 	bw    *bufio.Writer
 	ticks uint64
+	line  [maxGem5Line]byte
 }
 
 // NewGem5Sink returns a Sink writing gem5-style text to w; ticksPerCycle
@@ -486,12 +488,7 @@ func (s *Gem5Sink) Emit(events []Event) error {
 		if err := e.Validate(); err != nil {
 			return err
 		}
-		req := "ReadReq"
-		if e.Op == Write {
-			req = "WriteReq"
-		}
-		if _, err := fmt.Fprintf(s.bw, "%d: system.cpu.dcache: %s addr=0x%x size=8 thread=%d\n",
-			e.Cycle*s.ticks, req, e.Addr, e.Thread); err != nil {
+		if _, err := s.bw.Write(appendGem5Line(s.line[:0], e, s.ticks)); err != nil {
 			return err
 		}
 	}
