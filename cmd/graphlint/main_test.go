@@ -202,7 +202,7 @@ func TestFormatSARIF(t *testing.T) {
 	for _, r := range runData.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	for _, want := range []string{"atomicwrite", "determinism", "lockdiscipline", "atomicmix", "fsyncorder"} {
+	for _, want := range []string{"atomicwrite", "determinism", "lockdiscipline", "atomicmix"} {
 		if !ruleIDs[want] {
 			t.Errorf("SARIF rules missing %s", want)
 		}

@@ -77,6 +77,75 @@ func TestAtomicFileAbort(t *testing.T) {
 	}
 }
 
+// recordingFS logs, in order, the durability steps a commit performs.
+type recordingFS struct {
+	FS
+	ops []string
+}
+
+func (r *recordingFS) CreateTemp(dir, pattern string) (File, error) {
+	f, err := r.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return &recordingFile{File: f, fs: r}, nil
+}
+
+func (r *recordingFS) Rename(oldpath, newpath string) error {
+	r.ops = append(r.ops, "rename "+filepath.Base(newpath))
+	return r.FS.Rename(oldpath, newpath)
+}
+
+func (r *recordingFS) SyncDir(dir string) error {
+	r.ops = append(r.ops, "syncdir "+filepath.Base(dir))
+	return r.FS.SyncDir(dir)
+}
+
+type recordingFile struct {
+	File
+	fs *recordingFS
+}
+
+func (f *recordingFile) Write(p []byte) (int, error) {
+	f.fs.ops = append(f.fs.ops, "write")
+	return f.File.Write(p)
+}
+
+func (f *recordingFile) Sync() error {
+	f.fs.ops = append(f.fs.ops, "sync")
+	return f.File.Sync()
+}
+
+func (f *recordingFile) Close() error {
+	f.fs.ops = append(f.fs.ops, "close")
+	return f.File.Close()
+}
+
+// TestAtomicFileCommitOrder pins the crash-durability order of a commit:
+// the data is fsynced and closed before the temp file is renamed over the
+// target, and the directory is fsynced after the rename.
+func TestAtomicFileCommitOrder(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingFS{FS: OS}
+	af, err := CreateAtomicFS(rec, filepath.Join(dir, "artifact.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := af.Write([]byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := af.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"write", "sync", "close", "rename artifact.bin", "syncdir out"}
+	if fmt.Sprint(rec.ops) != fmt.Sprint(want) {
+		t.Fatalf("commit steps = %q, want %q", rec.ops, want)
+	}
+}
+
 func assertNoTempFiles(t *testing.T, dir string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)

@@ -14,7 +14,7 @@ import (
 //	block    payloadLen u32 | records u32 | crc32c(payload) u32 | payload[payloadLen]
 //	trailer  trailerMark u32 = 0xFFFFFFFF | totalRecords u64 | crc32c(totalRecords bytes) u32
 //
-// format is a payload-defined 8-byte tag ("TRACEBIN", "GRAPHCSR", ...) and
+// format is a payload-defined 8-byte tag ("TRACEBIN", "DSEDATA") and
 // version its format version, making every artifact self-describing. Blocks
 // are independently verifiable, so a reader can stop at the first damaged
 // frame and keep everything before it; the trailer seals the record total so

@@ -87,19 +87,3 @@ func BenchmarkTriangleCount(b *testing.B) {
 		TriangleCount(g)
 	}
 }
-
-func BenchmarkBetweennessCentrality(b *testing.B) {
-	g := benchGraph(b, 256, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BetweennessCentrality(g)
-	}
-}
-
-func BenchmarkKCoreDecomposition(b *testing.B) {
-	g := benchGraph(b, 4096, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		KCoreDecomposition(g)
-	}
-}

@@ -120,26 +120,3 @@ func GenerateGraph500(scale, edgeFactor int, seed int64) (*CSR, error) {
 	}
 	return NewCSR(1<<uint(scale), edges, true)
 }
-
-// GenerateGrid2D builds an undirected sqrt(n)×sqrt(n) grid graph — a
-// low-diameter, regular-degree counterpoint to R-MAT used in workload
-// sensitivity studies. side must be >= 2.
-func GenerateGrid2D(side int) (*CSR, error) {
-	if side < 2 {
-		return nil, fmt.Errorf("graph: grid side %d < 2", side)
-	}
-	n := side * side
-	var edges []Edge
-	at := func(r, c int) uint32 { return uint32(r*side + c) }
-	for r := 0; r < side; r++ {
-		for c := 0; c < side; c++ {
-			if c+1 < side {
-				edges = append(edges, Edge{Src: at(r, c), Dst: at(r, c+1)})
-			}
-			if r+1 < side {
-				edges = append(edges, Edge{Src: at(r, c), Dst: at(r+1, c)})
-			}
-		}
-	}
-	return NewCSR(n, edges, true)
-}

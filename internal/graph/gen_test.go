@@ -161,30 +161,6 @@ func TestGenerateGraph500(t *testing.T) {
 	}
 }
 
-func TestGenerateGrid2D(t *testing.T) {
-	g, err := GenerateGrid2D(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 16 {
-		t.Fatalf("n = %d", g.NumVertices())
-	}
-	// 2*side*(side-1) undirected edges, stored twice.
-	if g.NumEdges() != 2*2*4*3 {
-		t.Fatalf("m = %d", g.NumEdges())
-	}
-	// Corner has degree 2, interior degree 4.
-	if g.Degree(0) != 2 {
-		t.Fatalf("corner degree = %d", g.Degree(0))
-	}
-	if g.Degree(5) != 4 {
-		t.Fatalf("interior degree = %d", g.Degree(5))
-	}
-	if _, err := GenerateGrid2D(1); err == nil {
-		t.Fatal("expected error for side=1")
-	}
-}
-
 // Property: GTGraph output is always a valid CSR whose edge count matches
 // 2*n*edgeFactor, for any small n >= 2.
 func TestPropGTGraphEdgeCount(t *testing.T) {

@@ -2,9 +2,9 @@
 // workload: synthetic generators in the GTGraph family (R-MAT, Erdős–Rényi,
 // Graph500 Kronecker), a compressed-sparse-row representation, the Graph500
 // BFS kernel (top-down, bottom-up and direction-optimizing variants, with
-// parent-tree validation), and additional analytics kernels (PageRank,
-// connected components, Δ-stepping SSSP, triangle counting) used for the
-// workload-sensitivity extensions.
+// parent-tree validation), connected components for graph statistics,
+// Δ-stepping SSSP with a Dijkstra reference, the oracle for the traced SSSP
+// workload, and the PageRank and triangle-counting analytics kernels.
 package graph
 
 import (

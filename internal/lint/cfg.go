@@ -1,13 +1,11 @@
 package lint
 
 // Intraprocedural control-flow layer. The original graphlint analyzers are
-// syntactic — they pattern-match the AST of one statement at a time. The
-// flow-sensitive analyzers (determinism, lockdiscipline, atomicmix,
-// fsyncorder) need more: "is this fsync on every path before that rename",
-// "which mutexes are held at this field access". This file gives them a
-// small, self-contained basic-block CFG per function body, dominator and
-// post-dominator sets over it, and a forward dataflow driver — all still on
-// nothing but go/ast and go/token.
+// syntactic — they pattern-match the AST of one statement at a time.
+// lockdiscipline needs more: "which mutexes are held at this field access"
+// on every path that reaches it. This file gives it a small, self-contained
+// basic-block CFG per function body, still on nothing but go/ast and
+// go/token.
 //
 // The CFG is deliberately modest: one synthetic entry and exit, blocks
 // holding the AST nodes evaluated in order, and edges for if/for/range/
@@ -27,7 +25,6 @@ type cfgBlock struct {
 	index int
 	nodes []ast.Node
 	succs []*cfgBlock
-	preds []*cfgBlock
 }
 
 func (b *cfgBlock) addSucc(s *cfgBlock) {
@@ -40,7 +37,6 @@ func (b *cfgBlock) addSucc(s *cfgBlock) {
 		}
 	}
 	b.succs = append(b.succs, s)
-	s.preds = append(s.preds, b)
 }
 
 // funcCFG is the control-flow graph of one function body.
@@ -398,185 +394,4 @@ func isTerminalStmt(s ast.Stmt) bool {
 		}
 	}
 	return false
-}
-
-// bitset over block indices, for dominator sets.
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-
-func (b bitset) fill() {
-	for i := range b {
-		b[i] = ^uint64(0)
-	}
-}
-
-func (b bitset) copyFrom(o bitset) { copy(b, o) }
-
-// intersect ands o into b, reporting whether b changed.
-func (b bitset) intersect(o bitset) bool {
-	changed := false
-	for i := range b {
-		nv := b[i] & o[i]
-		if nv != b[i] {
-			b[i] = nv
-			changed = true
-		}
-	}
-	return changed
-}
-
-// dominators computes, for every block, the set of blocks that dominate it
-// (every path from entry passes through them). The classic iterative
-// algorithm is plenty for function-sized graphs.
-func (g *funcCFG) dominators() []bitset {
-	n := len(g.blocks)
-	dom := make([]bitset, n)
-	for i := range dom {
-		dom[i] = newBitset(n)
-		if i == g.entry.index {
-			dom[i].set(i)
-		} else {
-			dom[i].fill()
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, blk := range g.blocks {
-			if blk == g.entry {
-				continue
-			}
-			nv := newBitset(n)
-			nv.fill()
-			reached := false
-			for _, p := range blk.preds {
-				nv.intersect(dom[p.index])
-				reached = true
-			}
-			if !reached {
-				// Unreachable block: dominated by everything, vacuously.
-				continue
-			}
-			nv.set(blk.index)
-			if dom[blk.index].intersect(nv) {
-				changed = true
-			}
-			// intersect only shrinks; also absorb any bits nv added (self).
-			if !dom[blk.index].has(blk.index) {
-				dom[blk.index].set(blk.index)
-				changed = true
-			}
-		}
-	}
-	return dom
-}
-
-// postDominators is dominators on the reversed graph from exit: the set of
-// blocks every path from b to the exit passes through.
-func (g *funcCFG) postDominators() []bitset {
-	n := len(g.blocks)
-	pdom := make([]bitset, n)
-	for i := range pdom {
-		pdom[i] = newBitset(n)
-		if i == g.exit.index {
-			pdom[i].set(i)
-		} else {
-			pdom[i].fill()
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, blk := range g.blocks {
-			if blk == g.exit {
-				continue
-			}
-			nv := newBitset(n)
-			nv.fill()
-			reached := false
-			for _, s := range blk.succs {
-				nv.intersect(pdom[s.index])
-				reached = true
-			}
-			if !reached {
-				continue
-			}
-			nv.set(blk.index)
-			if pdom[blk.index].intersect(nv) {
-				changed = true
-			}
-			if !pdom[blk.index].has(blk.index) {
-				pdom[blk.index].set(blk.index)
-				changed = true
-			}
-		}
-	}
-	return pdom
-}
-
-// nodeSite locates one AST node inside a CFG: its block and its position in
-// the block's node list.
-type nodeSite struct {
-	block *cfgBlock
-	index int
-	pos   token.Pos
-}
-
-// sites finds every node matching pred inside the CFG, walking each
-// block's nodes (and their subtrees) in order. Nested function literals
-// are skipped: they are separate functions with their own CFGs.
-func (g *funcCFG) sites(pred func(ast.Node) bool) []nodeSite {
-	var out []nodeSite
-	for _, blk := range g.blocks {
-		for i, n := range blk.nodes {
-			ast.Inspect(n, func(m ast.Node) bool {
-				if m == nil {
-					return false
-				}
-				if _, isLit := m.(*ast.FuncLit); isLit {
-					return false
-				}
-				if pred(m) {
-					out = append(out, nodeSite{block: blk, index: i, pos: m.Pos()})
-				}
-				return true
-			})
-		}
-	}
-	return out
-}
-
-// dominatesSite reports whether site a dominates site b: a's block strictly
-// dominates b's, or they share a block and a comes earlier.
-func dominatesSite(dom []bitset, a, b nodeSite) bool {
-	if a.block == b.block {
-		return a.index < b.index || (a.index == b.index && a.pos < b.pos)
-	}
-	return dom[b.block.index].has(a.block.index)
-}
-
-// funcCFGs builds a CFG for every function declaration and function literal
-// in the file set of the pass, keyed by the *ast.BlockStmt body. Analyzers
-// that walk function-by-function build their own; this helper exists for
-// tests.
-func funcCFGs(files []*ast.File) map[*ast.BlockStmt]*funcCFG {
-	out := map[*ast.BlockStmt]*funcCFG{}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					out[n.Body] = buildCFG(n.Body)
-				}
-			case *ast.FuncLit:
-				out[n.Body] = buildCFG(n.Body)
-			}
-			return true
-		})
-	}
-	return out
 }

@@ -1,9 +1,9 @@
 package lint
 
-// White-box tests for the control-flow layer: block structure, dominator
-// and post-dominator fixpoints, site lookup, and the dominatesSite relation
-// the fsyncorder analyzer is built on. Functions are parsed from snippets
-// so each test names exactly the shape it pins.
+// White-box tests for the control-flow layer lockdiscipline is built on:
+// block structure and the paths through it, stated as dominance and
+// post-dominance computed by reachability. Functions are parsed from
+// snippets so each test names exactly the shape it pins.
 
 import (
 	"go/ast"
@@ -29,25 +29,78 @@ func parseFunc(t *testing.T, src string) (*token.FileSet, *funcCFG) {
 	return nil, nil
 }
 
-// callSites returns the sites of every call to the named function.
-func callSites(g *funcCFG, name string) []nodeSite {
-	return g.sites(func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
+// site locates one call inside a CFG: its block and its position in the
+// block's node list.
+type site struct {
+	block *cfgBlock
+	index int
+	pos   token.Pos
+}
+
+// callSites returns the sites of every call to the named function, walking
+// each block's nodes the way lockdiscipline does: nested function literals
+// are separate functions and are not descended into.
+func callSites(g *funcCFG, name string) []site {
+	var out []site
+	for _, blk := range g.blocks {
+		for i, n := range blk.nodes {
+			ast.Inspect(n, func(m ast.Node) bool {
+				switch m := m.(type) {
+				case *ast.FuncLit:
+					return false
+				case *ast.CallExpr:
+					if id, ok := ast.Unparen(m.Fun).(*ast.Ident); ok && id.Name == name {
+						out = append(out, site{block: blk, index: i, pos: m.Pos()})
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// reaches reports whether to is reachable from from without passing through
+// avoid (nil avoids nothing).
+func reaches(from, to, avoid *cfgBlock) bool {
+	seen := map[*cfgBlock]bool{}
+	var walk func(b *cfgBlock) bool
+	walk = func(b *cfgBlock) bool {
+		if b == avoid || seen[b] {
 			return false
 		}
-		switch fn := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			return fn.Name == name
-		case *ast.SelectorExpr:
-			return fn.Sel.Name == name
+		if b == to {
+			return true
+		}
+		seen[b] = true
+		for _, s := range b.succs {
+			if walk(s) {
+				return true
+			}
 		}
 		return false
-	})
+	}
+	return walk(from)
+}
+
+// dominates reports whether every path from the entry to b passes a first:
+// a comes earlier in the same block, or b's block cannot be reached once
+// a's block is removed.
+func dominates(g *funcCFG, a, b site) bool {
+	if a.block == b.block {
+		return a.index < b.index || (a.index == b.index && a.pos < b.pos)
+	}
+	return !reaches(g.entry, b.block, a.block)
+}
+
+// postDominates reports whether every path from block b to the exit passes
+// through block a.
+func postDominates(g *funcCFG, a, b *cfgBlock) bool {
+	return a == b || !reaches(b, g.exit, a)
 }
 
 // one returns the single site of the named call, failing otherwise.
-func one(t *testing.T, g *funcCFG, name string) nodeSite {
+func one(t *testing.T, g *funcCFG, name string) site {
 	t.Helper()
 	s := callSites(g, name)
 	if len(s) != 1 {
@@ -62,12 +115,11 @@ func f() {
 	first()
 	second()
 }`)
-	dom := g.dominators()
 	a, b := one(t, g, "first"), one(t, g, "second")
-	if !dominatesSite(dom, a, b) {
+	if !dominates(g, a, b) {
 		t.Error("first() must dominate second() in straight-line code")
 	}
-	if dominatesSite(dom, b, a) {
+	if dominates(g, b, a) {
 		t.Error("second() must not dominate first()")
 	}
 }
@@ -81,24 +133,22 @@ func f(ok bool) {
 	}
 	after()
 }`)
-	dom := g.dominators()
 	before, inside, after := one(t, g, "before"), one(t, g, "inside"), one(t, g, "after")
-	if !dominatesSite(dom, before, after) {
+	if !dominates(g, before, after) {
 		t.Error("before() must dominate after(): it precedes the branch")
 	}
-	if dominatesSite(dom, inside, after) {
+	if dominates(g, inside, after) {
 		t.Error("inside() must not dominate after(): the else path skips it")
 	}
-	if !dominatesSite(dom, before, inside) {
+	if !dominates(g, before, inside) {
 		t.Error("before() must dominate inside()")
 	}
 }
 
 func TestCFGBothBranchesNoDominance(t *testing.T) {
-	// A site in each arm: neither dominates the join. This is exactly why
-	// fsyncorder's must-check rejects sync-on-one-branch even when the
-	// other branch also syncs — dominance needs a single covering site.
-	// (lockdiscipline's meet-over-paths handles the both-arms case.)
+	// A site in each arm: neither dominates the join, since dominance needs
+	// a single covering site. (lockdiscipline's meet-over-paths handles the
+	// both-arms case.)
 	_, g := parseFunc(t, `
 func f(ok bool) {
 	if ok {
@@ -108,9 +158,8 @@ func f(ok bool) {
 	}
 	after()
 }`)
-	dom := g.dominators()
 	inside, elsewhere, after := one(t, g, "inside"), one(t, g, "elsewhere"), one(t, g, "after")
-	if dominatesSite(dom, inside, after) || dominatesSite(dom, elsewhere, after) {
+	if dominates(g, inside, after) || dominates(g, elsewhere, after) {
 		t.Error("neither arm alone may dominate the join point")
 	}
 }
@@ -124,9 +173,8 @@ func f(err error) {
 	guarded()
 	after()
 }`)
-	dom := g.dominators()
 	guarded, after := one(t, g, "guarded"), one(t, g, "after")
-	if !dominatesSite(dom, guarded, after) {
+	if !dominates(g, guarded, after) {
 		t.Error("guarded() must dominate after(): the error path returned")
 	}
 }
@@ -174,9 +222,8 @@ func f(xs []int) {
 	}
 	after()
 }`)
-	dom := g.dominators()
 	body, after := one(t, g, "body"), one(t, g, "after")
-	if dominatesSite(dom, body, after) {
+	if dominates(g, body, after) {
 		t.Error("loop body must not dominate the code after the loop (zero iterations skip it)")
 	}
 	// The body block must have a path back to its own block (through the
@@ -208,12 +255,11 @@ func f(ok bool) {
 	}
 	always()
 }`)
-	pdom := g.postDominators()
 	inside, always := one(t, g, "inside"), one(t, g, "always")
-	if !pdom[inside.block.index].has(always.block.index) {
+	if !postDominates(g, always.block, inside.block) {
 		t.Error("always() block must post-dominate the branch arm")
 	}
-	if pdom[always.block.index].has(inside.block.index) {
+	if postDominates(g, inside.block, always.block) {
 		t.Error("the branch arm must not post-dominate the join")
 	}
 }
@@ -228,9 +274,8 @@ func f(skip bool) {
 done:
 	after()
 }`)
-	dom := g.dominators()
 	work, after := one(t, g, "work"), one(t, g, "after")
-	if dominatesSite(dom, work, after) {
+	if dominates(g, work, after) {
 		t.Error("work() must not dominate after(): the goto bypasses it")
 	}
 }
@@ -243,6 +288,23 @@ func f() {
 		inner()
 	}()
 }`)
+	// The literal is a separate function: none of its body is lowered into
+	// f's blocks, only the go statement that holds it is a node.
+	for _, blk := range g.blocks {
+		for _, n := range blk.nodes {
+			if _, isGo := n.(*ast.GoStmt); isGo {
+				continue
+			}
+			ast.Inspect(n, func(m ast.Node) bool {
+				if call, ok := m.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "inner" {
+						t.Errorf("block %d holds a statement of the literal's body", blk.index)
+					}
+				}
+				return true
+			})
+		}
+	}
 	if n := len(callSites(g, "inner")); n != 0 {
 		t.Errorf("sites must not descend into function literals, found %d inner() sites", n)
 	}
@@ -262,12 +324,11 @@ func f(x int) {
 	}
 	after()
 }`)
-	dom := g.dominators()
 	c1, c2, after := one(t, g, "caseOne"), one(t, g, "caseTwo"), one(t, g, "after")
-	if dominatesSite(dom, c1, after) || dominatesSite(dom, c2, after) {
+	if dominates(g, c1, after) || dominates(g, c2, after) {
 		t.Error("no single switch clause may dominate the code after the switch")
 	}
-	if dominatesSite(dom, c1, c2) || dominatesSite(dom, c2, c1) {
+	if dominates(g, c1, c2) || dominates(g, c2, c1) {
 		t.Error("sibling clauses must not dominate each other")
 	}
 }

@@ -70,7 +70,7 @@ type Analyzer struct {
 
 // All is the full graphlint suite, in the order findings are attributed.
 // The first seven are the syntactic contract analyzers from PRs 5/6/9; the
-// last four are flow-sensitive, built on the CFG + def-use layer (cfg.go).
+// last three are flow-sensitive, built on the CFG + def-use layer (cfg.go).
 var All = []*Analyzer{
 	AtomicWrite,
 	ErrTaxonomy,
@@ -82,7 +82,6 @@ var All = []*Analyzer{
 	Determinism,
 	Lockdiscipline,
 	Atomicmix,
-	Fsyncorder,
 }
 
 // Run executes every analyzer over every package and returns the surviving

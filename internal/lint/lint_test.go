@@ -133,7 +133,6 @@ func TestCorpus(t *testing.T) {
 		{"httpctx", "corpus/httpctx", lint.HTTPCtx},
 		{"ssecontract", "corpus/ssecontract", lint.SSEContract},
 		{"determinism", "corpus/determinism", lint.Determinism},
-		{"fsyncorder", "corpus/fsyncorder", lint.Fsyncorder},
 	}
 	for _, c := range cases {
 		t.Run(c.dir, func(t *testing.T) { runCorpus(t, c.dir, c.path, c.analyzer) })

@@ -9,7 +9,6 @@ package mat
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Dense is a row-major dense matrix of float64.
@@ -43,12 +42,6 @@ func NewDense(r, c int, data []float64) *Dense {
 // Dims returns the row and column counts.
 func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
 
-// Rows returns the number of rows.
-func (m *Dense) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Dense) Cols() int { return m.cols }
-
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
 	m.check(i, j)
@@ -67,16 +60,6 @@ func (m *Dense) check(i, j int) {
 	}
 }
 
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic("mat: row index out of bounds")
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // RawRow returns the backing slice of row i without copying. The caller must
 // not grow the slice.
 func (m *Dense) RawRow(i int) []float64 {
@@ -86,100 +69,11 @@ func (m *Dense) RawRow(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic("mat: column index out of bounds")
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of the matrix.
 func (m *Dense) Clone() *Dense {
 	d := make([]float64, len(m.data))
 	copy(d, m.data)
 	return &Dense{rows: m.rows, cols: m.cols, data: d}
-}
-
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
-	t := NewDense(m.cols, m.rows, nil)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
-// Mul returns the matrix product a*b.
-func Mul(a, b *Dense) (*Dense, error) {
-	if a.cols != b.rows {
-		return nil, fmt.Errorf("%w: %dx%d * %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := NewDense(a.rows, b.cols, nil)
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns the matrix-vector product a*x.
-func MulVec(a *Dense, x []float64) ([]float64, error) {
-	if a.cols != len(x) {
-		return nil, fmt.Errorf("%w: %dx%d * vec(%d)", ErrShape, a.rows, a.cols, len(x))
-	}
-	out := make([]float64, a.rows)
-	for i := 0; i < a.rows; i++ {
-		out[i] = Dot(a.data[i*a.cols:(i+1)*a.cols], x)
-	}
-	return out, nil
-}
-
-// Add returns a+b.
-func Add(a, b *Dense) (*Dense, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, ErrShape
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out, nil
-}
-
-// Sub returns a-b.
-func Sub(a, b *Dense) (*Dense, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, ErrShape
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] -= v
-	}
-	return out, nil
-}
-
-// Scale multiplies every element of m by s in place and returns m.
-func (m *Dense) Scale(s float64) *Dense {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
 }
 
 // AddDiag adds v to every diagonal element in place (ridge regularization).
@@ -190,15 +84,6 @@ func (m *Dense) AddDiag(v float64) *Dense {
 	}
 	for i := 0; i < n; i++ {
 		m.data[i*m.cols+i] += v
-	}
-	return m
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Dense {
-	m := NewDense(n, n, nil)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
 	}
 	return m
 }
@@ -215,11 +100,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	return math.Sqrt(Dot(v, v))
-}
-
 // SqDist returns the squared Euclidean distance between a and b.
 func SqDist(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -233,16 +113,6 @@ func SqDist(a, b []float64) float64 {
 	return s
 }
 
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("mat: axpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // String renders the matrix for debugging.
 func (m *Dense) String() string {
 	s := ""
@@ -253,17 +123,4 @@ func (m *Dense) String() string {
 		s += "\n"
 	}
 	return s
-}
-
-// Equal reports whether a and b have the same shape and elements within tol.
-func Equal(a, b *Dense, tol float64) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i, v := range a.data {
-		if math.Abs(v-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }

@@ -8,11 +8,63 @@ import (
 	"testing/quick"
 )
 
+// mul returns the matrix product a*b. It panics if the shapes disagree.
+func mul(a, b *Dense) *Dense {
+	if a.cols != b.rows {
+		panic("mat: mul shape mismatch")
+	}
+	out := NewDense(a.rows, b.cols, nil)
+	for i := 0; i < a.rows; i++ {
+		for k := 0; k < a.cols; k++ {
+			for j := 0; j < b.cols; j++ {
+				out.data[i*out.cols+j] += a.At(i, k) * b.At(k, j)
+			}
+		}
+	}
+	return out
+}
+
+// mulVec returns the matrix-vector product a*x. It panics (in Dot) if the
+// shapes disagree.
+func mulVec(a *Dense, x []float64) []float64 {
+	out := make([]float64, a.rows)
+	for i := range out {
+		out[i] = Dot(a.RawRow(i), x)
+	}
+	return out
+}
+
+// transpose returns mᵀ as a new matrix.
+func transpose(m *Dense) *Dense {
+	t := NewDense(m.cols, m.rows, nil)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			t.Set(j, i, m.At(i, j))
+		}
+	}
+	return t
+}
+
+// identity returns the n-by-n identity matrix.
+func identity(n int) *Dense { return NewDense(n, n, nil).AddDiag(1) }
+
+// equal reports whether a and b have the same shape and elements within tol.
+func equal(a, b *Dense, tol float64) bool {
+	if a.rows != b.rows || a.cols != b.cols {
+		return false
+	}
+	for i, v := range a.data {
+		if math.Abs(v-b.data[i]) > tol {
+			return false
+		}
+	}
+	return true
+}
+
 func spdMatrix(rng *rand.Rand, n int) *Dense {
 	// A = BᵀB + n*I is symmetric positive definite.
 	b := randomDense(rng, n, n)
-	a, _ := Mul(b.T(), b)
-	return a.AddDiag(float64(n))
+	return mul(transpose(b), b).AddDiag(float64(n))
 }
 
 func TestCholeskyReconstructs(t *testing.T) {
@@ -23,8 +75,7 @@ func TestCholeskyReconstructs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		llt, _ := Mul(l, l.T())
-		if !Equal(llt, a, 1e-8) {
+		if !equal(mul(l, transpose(l)), a, 1e-8) {
 			t.Fatalf("n=%d: LLᵀ != A", n)
 		}
 	}
@@ -47,7 +98,7 @@ func TestCholeskySolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := spdMatrix(rng, 5)
 	want := randomVec(rng, 5)
-	b, _ := MulVec(a, want)
+	b := mulVec(a, want)
 	x, err := SolveSPD(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +111,7 @@ func TestCholeskySolve(t *testing.T) {
 }
 
 func TestCholeskySolveShapeError(t *testing.T) {
-	l, err := Cholesky(Identity(3))
+	l, err := Cholesky(identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +124,7 @@ func TestQRSolveExact(t *testing.T) {
 	// Square well-conditioned system.
 	a := NewDense(3, 3, []float64{4, 1, 0, 1, 3, 1, 0, 1, 2})
 	want := []float64{1, -2, 3}
-	b, _ := MulVec(a, want)
+	b := mulVec(a, want)
 	x, err := LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +170,7 @@ func TestQRRejectsZeroColumn(t *testing.T) {
 }
 
 func TestQRSolveShapeError(t *testing.T) {
-	f, err := QRFactor(Identity(3))
+	f, err := QRFactor(identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +190,13 @@ func TestPropLeastSquaresResidualOrthogonal(t *testing.T) {
 		if err != nil {
 			return true // singular draw: skip
 		}
-		ax, _ := MulVec(a, x)
+		ax := mulVec(a, x)
 		r := make([]float64, m)
 		for i := range r {
 			r[i] = b[i] - ax[i]
 		}
 		// Aᵀ r should be ~0.
-		atr, _ := MulVec(a.T(), r)
+		atr := mulVec(transpose(a), r)
 		for _, v := range atr {
 			if math.Abs(v) > 1e-7 {
 				return false
@@ -165,7 +216,7 @@ func TestPropSPDRoundTrip(t *testing.T) {
 		n := 1 + rng.Intn(8)
 		a := spdMatrix(rng, n)
 		want := randomVec(rng, n)
-		b, _ := MulVec(a, want)
+		b := mulVec(a, want)
 		x, err := SolveSPD(a, b)
 		if err != nil {
 			return false

@@ -1,10 +1,5 @@
 package mat
 
-import (
-	"math"
-	"sort"
-)
-
 // Mean returns the arithmetic mean of v, or 0 for empty input.
 func Mean(v []float64) float64 {
 	if len(v) == 0 {
@@ -30,85 +25,4 @@ func Variance(v []float64) float64 {
 		s += d * d
 	}
 	return s / float64(len(v))
-}
-
-// StdDev returns the population standard deviation of v.
-func StdDev(v []float64) float64 {
-	return math.Sqrt(Variance(v))
-}
-
-// MinMax returns the smallest and largest values of v. It panics on empty
-// input.
-func MinMax(v []float64) (lo, hi float64) {
-	if len(v) == 0 {
-		panic("mat: MinMax of empty slice")
-	}
-	lo, hi = v[0], v[0]
-	for _, x := range v[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// Median returns the median of v (average of middle two for even length).
-// It panics on empty input.
-func Median(v []float64) float64 {
-	if len(v) == 0 {
-		panic("mat: Median of empty slice")
-	}
-	s := make([]float64, len(v))
-	copy(s, v)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of v using linear
-// interpolation. It panics on empty input or q outside [0,1].
-func Quantile(v []float64, q float64) float64 {
-	if len(v) == 0 {
-		panic("mat: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic("mat: Quantile q out of range")
-	}
-	s := make([]float64, len(v))
-	copy(s, v)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Pearson returns the Pearson correlation coefficient between x and y.
-// It panics when lengths differ and returns 0 when either input is constant.
-func Pearson(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("mat: Pearson length mismatch")
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxy, sxx, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

@@ -137,6 +137,3 @@ func (f *RandomForest) PredictStd(x []float64) float64 {
 	_, v := f.PredictWithVariance(x)
 	return math.Sqrt(v)
 }
-
-// NumFittedTrees reports the ensemble size after Fit.
-func (f *RandomForest) NumFittedTrees() int { return len(f.trees) }

@@ -55,18 +55,6 @@ func R2(y, yhat []float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// MaxAbsError returns the largest absolute residual.
-func MaxAbsError(y, yhat []float64) float64 {
-	mustSameLen(y, yhat)
-	var m float64
-	for i := range y {
-		if d := math.Abs(y[i] - yhat[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Evaluation bundles the statistics the paper reports per model per metric.
 type Evaluation struct {
 	MSE  float64

@@ -54,12 +54,6 @@ func TestR2ConstantTarget(t *testing.T) {
 	}
 }
 
-func TestMaxAbsError(t *testing.T) {
-	if got := MaxAbsError([]float64{1, 2, 3}, []float64{1, 5, 2}); got != 3 {
-		t.Fatalf("MaxAbsError = %v", got)
-	}
-}
-
 func TestEvaluateBundle(t *testing.T) {
 	e := Evaluate([]float64{0, 2}, []float64{0, 0})
 	if e.MSE != 2 || e.MAE != 1 || math.Abs(e.RMSE-math.Sqrt2) > 1e-12 {
@@ -83,7 +77,7 @@ func TestPropMetricInvariants(t *testing.T) {
 			y[i] = rng.NormFloat64()
 			yh[i] = rng.NormFloat64()
 		}
-		return MSE(y, yh) >= 0 && R2(y, y) == 1 && MAE(y, yh) <= MaxAbsError(y, yh)+1e-12
+		return MSE(y, yh) >= 0 && R2(y, y) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -2,8 +2,8 @@
 // design-space exploration: linear regression, ridge regression, ε-support
 // vector regression (SMO dual solver, RBF/linear/polynomial kernels), CART
 // regression trees, random forests, gradient-boosted trees, and a k-nearest
-// neighbour baseline, together with scaling, metrics, cross-validation, grid
-// search and an active-learning loop.
+// neighbour baseline, together with scaling, metrics, a train/test split and
+// an active-learning loop.
 //
 // All models implement the Regressor interface. Features are presented as
 // [][]float64 (one row per sample); targets as []float64. Models are

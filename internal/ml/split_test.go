@@ -106,78 +106,11 @@ func TestTrainTestSplitExtremeFractions(t *testing.T) {
 	}
 }
 
-func TestKFoldPartition(t *testing.T) {
-	trains, tests, err := KFold(10, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trains) != 3 || len(tests) != 3 {
-		t.Fatalf("folds = %d", len(trains))
-	}
-	counts := map[int]int{}
-	for f := range tests {
-		for _, i := range tests[f] {
-			counts[i]++
-		}
-		if len(trains[f])+len(tests[f]) != 10 {
-			t.Fatalf("fold %d sizes %d+%d != 10", f, len(trains[f]), len(tests[f]))
-		}
-		inTrain := map[int]bool{}
-		for _, i := range trains[f] {
-			inTrain[i] = true
-		}
-		for _, i := range tests[f] {
-			if inTrain[i] {
-				t.Fatalf("fold %d: index %d in both train and test", f, i)
-			}
-		}
-	}
-	if len(counts) != 10 {
-		t.Fatalf("test folds cover %d of 10 indices", len(counts))
-	}
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("index %d appears in %d test folds", i, c)
-		}
-	}
-}
-
-func TestKFoldErrors(t *testing.T) {
-	if _, _, err := KFold(5, 1, 1); err == nil {
-		t.Fatal("expected error for k=1")
-	}
-	if _, _, err := KFold(3, 5, 1); err == nil {
-		t.Fatal("expected error for k>n")
-	}
-}
-
 func TestGather(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}}
 	y := []float64{10, 20, 30}
 	gx, gy := Gather(X, y, []int{2, 0})
 	if gx[0][0] != 3 || gx[1][0] != 1 || gy[0] != 30 || gy[1] != 10 {
 		t.Fatalf("Gather = %v %v", gx, gy)
-	}
-}
-
-func TestCrossValidateLinear(t *testing.T) {
-	X, y := syntheticLinear(60, 3, 5, 0)
-	evals, err := CrossValidate(func() Regressor { return &LinearRegression{} }, X, y, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evals) != 5 {
-		t.Fatalf("got %d evals", len(evals))
-	}
-	mean := MeanEvaluation(evals)
-	if mean.R2 < 0.999 {
-		t.Fatalf("noiseless linear CV R2 = %v", mean.R2)
-	}
-}
-
-func TestMeanEvaluationEmpty(t *testing.T) {
-	e := MeanEvaluation(nil)
-	if e.MSE != 0 || e.R2 != 0 {
-		t.Fatalf("empty mean = %+v", e)
 	}
 }

@@ -90,35 +90,6 @@ func BenchmarkReadBinary(b *testing.B) {
 	}
 }
 
-func BenchmarkWriteCompressed(b *testing.B) {
-	events := benchEvents(b, 50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := WriteCompressed(io.Discard, events); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReadCompressed(b *testing.B) {
-	events := benchEvents(b, 50000)
-	var buf bytes.Buffer
-	if err := WriteCompressed(&buf, events); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadCompressed(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMerge compares the heap-based k-way Merge against the old
-// O(k·n) linear head scan (mergeLinearReference, kept in source_test.go) at
-// increasing input counts. The heap wins from k≥8 and the gap widens with k.
 func BenchmarkMerge(b *testing.B) {
 	for _, k := range []int{2, 8, 16, 32} {
 		traces := make([][]Event, k)

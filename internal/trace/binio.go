@@ -59,26 +59,6 @@ func WriteBinary(w io.Writer, events []Event) error {
 	return sink.Flush()
 }
 
-// WriteBinaryV1 encodes events in the legacy unchecksummed v1 format, kept
-// for interoperability tests and tooling that predates the container.
-func WriteBinaryV1(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	var rec [binaryRecordSize]byte
-	for _, e := range events {
-		if err := e.Validate(); err != nil {
-			return err
-		}
-		encodeBinaryRecord(rec[:], e)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadBinary decodes a binary trace stream, accepting both the legacy v1
 // format and the checksummed v2 container. Any damage fails the read; use
 // ReadBinarySalvage to recover the valid prefix of a damaged trace.
